@@ -60,12 +60,9 @@ inline constexpr size_t kTrailerBytes = 24;
 class PolyHasher {
  public:
   void Update(const void* data, size_t n) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    uint64_t h = h_;
-    for (size_t i = 0; i < n; ++i) h = h * kPolyMul + p[i];
-    h_ = h;
+    Update(std::string_view(static_cast<const char*>(data), n));
   }
-  void Update(std::string_view s) { Update(s.data(), s.size()); }
+  void Update(std::string_view s) { h_ = PolyHashUpdate(h_, s); }
   uint64_t digest() const { return h_; }
 
  private:

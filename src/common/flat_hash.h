@@ -26,6 +26,10 @@ class U64FlatMap {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return slots_.size(); }
+  /// Heap bytes held: every slot plus its occupancy byte, used or not.
+  size_t MemoryBytes() const {
+    return slots_.capacity() * sizeof(Slot) + used_.capacity();
+  }
 
   void clear() {
     slots_.clear();
@@ -45,10 +49,9 @@ class U64FlatMap {
   /// The pointer stays valid until the next insert or rehash.
   std::pair<V*, bool> TryEmplace(uint64_t key) {
     if (slots_.empty() || (size_ + 1) * 8 > slots_.size() * 5) {
-      // Quadruple while small to amortize early growth; double once large.
-      Rehash(slots_.empty()       ? 16
-             : slots_.size() < (1u << 16) ? slots_.size() * 4
-                                          : slots_.size() * 2);
+      // Doubling keeps a grown table at least 5/16 full, so its slot bytes
+      // stay within ~3x its entries.
+      Rehash(slots_.empty() ? 16 : slots_.size() * 2);
     }
     size_t i = key & mask_;
     while (used_[i]) {
@@ -119,6 +122,11 @@ class U64FlatMap {
     V value{};
   };
 
+ public:
+  /// Bytes per slot (key plus inline value), for layout assertions.
+  static constexpr size_t kSlotBytes = sizeof(Slot);
+
+ private:
   void Rehash(size_t cap) {
     std::vector<Slot> old_slots = std::move(slots_);
     std::vector<uint8_t> old_used = std::move(used_);

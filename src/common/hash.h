@@ -29,14 +29,15 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
 inline constexpr uint64_t kPolyMul = 0x100000001b3ULL;
 inline constexpr uint64_t kPolySeed = 0xcbf29ce484222325ULL;
 
-/// 64-bit polynomial hash of a byte string: h = fold of h * kPolyMul + c.
-/// Evaluated four bytes per step (exact same polynomial mod 2^64) so the
-/// serial multiply chain is one multiply per block instead of per byte.
-inline uint64_t PolyHash64(std::string_view s) {
+/// Continues a polynomial hash over `s`: the fold h -> h * kPolyMul + c
+/// over every byte, evaluated four bytes per step (exact same polynomial
+/// mod 2^64) so the serial multiply chain is one multiply per block instead
+/// of per byte. Folding fragments in turn equals folding their
+/// concatenation, whatever the boundaries.
+inline uint64_t PolyHashUpdate(uint64_t h, std::string_view s) {
   constexpr uint64_t kP2 = kPolyMul * kPolyMul;
   constexpr uint64_t kP3 = kP2 * kPolyMul;
   constexpr uint64_t kP4 = kP3 * kPolyMul;
-  uint64_t h = kPolySeed;
   size_t i = 0;
   for (; i + 4 <= s.size(); i += 4) {
     h = h * kP4 + static_cast<unsigned char>(s[i]) * kP3 +
@@ -48,6 +49,11 @@ inline uint64_t PolyHash64(std::string_view s) {
     h = h * kPolyMul + static_cast<unsigned char>(s[i]);
   }
   return h;
+}
+
+/// 64-bit polynomial hash of a byte string: PolyHashUpdate from kPolySeed.
+inline uint64_t PolyHash64(std::string_view s) {
+  return PolyHashUpdate(kPolySeed, s);
 }
 
 }  // namespace av

@@ -46,8 +46,8 @@ Result<FmdvSolution> SolveFmdvRange(const ShapeOptions& options, size_t begin,
         // Feasible candidates are rare enough to afford an exact check
         // that the entry is really this pattern's evidence and not a
         // 64-bit key collision with some other indexed pattern.
-        const std::string* name = index.LookupName(key);
-        if (name == nullptr || *name != h.ToString()) return;
+        const std::optional<std::string_view> name = index.LookupName(key);
+        if (!name.has_value() || *name != h.ToString()) return;
         ++feasible;
         FmdvSolution cand;
         cand.pattern = std::move(h);

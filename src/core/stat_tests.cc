@@ -1,15 +1,29 @@
 #include "core/stat_tests.h"
 
+#include <math.h>
+
 #include <algorithm>
 #include <cmath>
 
 namespace av {
 
+namespace {
+
+/// log Gamma(x) for x >= 1. std::lgamma stores the sign of Gamma(x) in the
+/// global `signgam`, a data race between concurrent validations;
+/// lgamma_r (same glibc kernel, same results) returns it locally.
+double LogGamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
+}  // namespace
+
 double LogChoose(uint64_t n, uint64_t k) {
   if (k > n) return -INFINITY;
-  return std::lgamma(static_cast<double>(n) + 1) -
-         std::lgamma(static_cast<double>(k) + 1) -
-         std::lgamma(static_cast<double>(n - k) + 1);
+  return LogGamma(static_cast<double>(n) + 1) -
+         LogGamma(static_cast<double>(k) + 1) -
+         LogGamma(static_cast<double>(n - k) + 1);
 }
 
 namespace {

@@ -6,10 +6,10 @@
 // (per-column enumeration) runs on a thread pool over fixed-size column
 // chunks and the reduce merges chunk-local accumulators — either in memory
 // (key shards in parallel, no global lock) or, when a memory budget is set,
-// through AVSPILL01 spill runs on disk with a k-way streaming merge, so
+// through AVSPILL02 spill runs on disk with a k-way streaming merge, so
 // lakes far larger than RAM index with bounded chunk-index residency. Both
 // reduce paths fold per-key statistics in chunk order, so the result — and
-// its saved AVIDX002 bytes — is identical for any thread count and for
+// its saved AVIDX003 bytes — is identical for any thread count and for
 // either path (docs/ARCHITECTURE.md, "Offline indexing").
 #pragma once
 
@@ -29,7 +29,7 @@ struct IndexBuildOptions {
   /// 0 (default): every chunk-local index stays in memory until the
   /// parallel shard reduce — fastest, residency grows with the corpus.
   /// >0: out-of-core path — each completed chunk index is serialized to a
-  /// sorted AVSPILL01 run and freed, the reduce is a k-way streaming merge,
+  /// sorted AVSPILL02 run and freed, the reduce is a k-way streaming merge,
   /// and the budget bounds both resident chunk-index bytes and the merge
   /// fan-in. The first chunk runs alone to calibrate the per-chunk size,
   /// after which map tasks are admitted only while resident bytes plus one

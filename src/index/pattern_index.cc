@@ -10,15 +10,38 @@
 
 namespace av {
 
-void PatternIndex::CheckNoCollision(uint64_t key, const std::string& stored,
-                                    const std::string& fresh) {
+void PatternIndex::CheckNoCollision(uint64_t key, std::string_view stored,
+                                    std::string_view fresh) {
   if (stored == fresh) return;
   std::fprintf(stderr,
-               "PatternIndex: 64-bit key collision %016llx between \"%s\" "
-               "and \"%s\"; statistics would merge silently\n",
-               static_cast<unsigned long long>(key), stored.c_str(),
-               fresh.c_str());
+               "PatternIndex: 64-bit key collision %016llx between \"%.*s\" "
+               "and \"%.*s\"; statistics would merge silently\n",
+               static_cast<unsigned long long>(key),
+               static_cast<int>(stored.size()), stored.data(),
+               static_cast<int>(fresh.size()), fresh.data());
   std::abort();
+}
+
+uint32_t PatternIndex::NameArena::Append(std::string_view name) {
+  if (!Fits(name.size())) {
+    std::fprintf(stderr,
+                 "PatternIndex: a shard's name arena would pass %llu bytes; "
+                 "its 32-bit name offsets cannot address more\n",
+                 static_cast<unsigned long long>(kMaxBytes));
+    std::abort();
+  }
+  const size_t offset = bytes_.size();
+  const uint32_t len = static_cast<uint32_t>(name.size());
+  const char* len_bytes = reinterpret_cast<const char*>(&len);
+  bytes_.insert(bytes_.end(), len_bytes, len_bytes + sizeof(len));
+  bytes_.insert(bytes_.end(), name.begin(), name.end());
+  return static_cast<uint32_t>(offset);
+}
+
+std::string_view PatternIndex::NameArena::Get(uint32_t offset) const {
+  uint32_t len = 0;
+  std::memcpy(&len, bytes_.data() + offset, sizeof(len));
+  return {bytes_.data() + offset + sizeof(len), len};
 }
 
 namespace {
@@ -34,15 +57,14 @@ constexpr uint64_t kMinEntryBytes = 24;
 void PatternIndex::InsertAggregate(uint64_t key, const std::string& name,
                                    double sum_impurity, uint32_t columns) {
   Shard& shard = ShardFor(key);
-  auto [entry, inserted] = shard.stats.TryEmplace(key);
+  auto [slot, inserted] = shard.stats.TryEmplace(key);
   if (inserted) {
-    *shard.names.TryEmplace(key).first = name;
+    slot->name = shard.names.Append(name);
   } else {
-    const std::string* stored = shard.names.Find(key);
-    if (stored != nullptr) CheckNoCollision(key, *stored, name);
+    CheckNoCollision(key, shard.names.Get(slot->name), name);
   }
-  entry->sum_impurity += sum_impurity;
-  entry->columns += columns;
+  slot->sum_impurity += sum_impurity;
+  slot->columns += columns;
 }
 
 void PatternIndex::MergeFrom(PatternIndex&& other) {
@@ -53,46 +75,48 @@ void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
   Shard& dst = shards_[shard];
   Shard& src = other->shards_[shard];
   if (dst.stats.empty() && dst.stats.capacity() == 0) {
-    // Not pre-reserved: adopt the source tables wholesale.
-    dst.stats = std::move(src.stats);
-    dst.names = std::move(src.names);
-    src.stats.clear();
-    src.names.clear();
+    // Not pre-reserved: adopt the source table and arena wholesale (name
+    // offsets are arena-relative, so they stay valid).
+    dst = std::move(src);
+    src = Shard();
     return;
   }
   dst.stats.reserve(dst.stats.size() + src.stats.size());
   src.stats.ConsumePipelined(
       [&dst](uint64_t key) { dst.stats.Prefetch(key); },
-      [&dst](uint64_t key, Entry&& e) {
+      [&dst, &src](uint64_t key, Stats&& e) {
         auto [d, inserted] = dst.stats.TryEmplace(key);
-        (void)inserted;
+        const std::string_view name = src.names.Get(e.name);
+        if (inserted) {
+          d->name = dst.names.Append(name);
+        } else {
+          // Same key from two map-phase accumulators: the strings must
+          // agree, or two distinct patterns collided on one 64-bit key.
+          // This is the check that covers the production chunked
+          // BuildIndex path (chunk-local column counts are too small for
+          // AddKeyed's sampled check).
+          CheckNoCollision(key, dst.names.Get(d->name), name);
+        }
         d->sum_impurity += e.sum_impurity;
         d->columns += e.columns;
       });
-  src.names.ConsumePipelined(
-      [&dst](uint64_t key) { dst.names.Prefetch(key); },
-      [&dst](uint64_t key, std::string&& name) {
-        auto [d, inserted] = dst.names.TryEmplace(key);
-        if (inserted) {
-          *d = std::move(name);
-        } else {
-          // Same key from two map-phase accumulators: the strings must
-          // agree, or two distinct patterns collided on one 64-bit key and
-          // their statistics just merged above. This is the check that
-          // covers the production chunked BuildIndex path (chunk-local
-          // column counts are too small for AddKeyed's sampled check).
-          CheckNoCollision(key, *d, name);
-        }
-      });
+  src = Shard();  // release the consumed table and arena now, not at exit
 }
 
 std::optional<PatternStats> PatternIndex::Lookup(uint64_t key) const {
-  const Entry* e = ShardFor(key).stats.Find(key);
+  const Stats* e = ShardFor(key).stats.Find(key);
   if (e == nullptr) return std::nullopt;
   PatternStats s;
   s.coverage = e->columns;
   s.fpr = e->columns > 0 ? e->sum_impurity / e->columns : 1.0;
   return s;
+}
+
+std::optional<std::string_view> PatternIndex::LookupName(uint64_t key) const {
+  const Shard& shard = ShardFor(key);
+  const Stats* e = shard.stats.Find(key);
+  if (e == nullptr) return std::nullopt;
+  return shard.names.Get(e->name);
 }
 
 size_t PatternIndex::size() const {
@@ -103,35 +127,38 @@ size_t PatternIndex::size() const {
 
 void PatternIndex::ForEach(
     const std::function<void(const std::string&, const Entry&)>& fn) const {
-  static const std::string kNoName;
+  std::string name;
   for (const Shard& s : shards_) {
-    s.stats.ForEach([&](uint64_t key, const Entry& e) {
-      const std::string* name = s.names.Find(key);
-      fn(name != nullptr ? *name : kNoName, e);
+    s.stats.ForEach([&](uint64_t, const Stats& e) {
+      name.assign(s.names.Get(e.name));
+      fn(name, Entry{e.sum_impurity, e.columns});
     });
   }
+}
+
+std::vector<PatternIndex::SortedRow> PatternIndex::SortedRows() const {
+  std::vector<SortedRow> rows;
+  rows.reserve(size());
+  for (const Shard& s : shards_) {
+    s.stats.ForEach([&](uint64_t key, const Stats& e) {
+      rows.push_back({key, s.names.Get(e.name), &e});
+    });
+  }
+  std::sort(rows.begin(), rows.end(),
+            [](const SortedRow& a, const SortedRow& b) {
+              return a.name < b.name;
+            });
+  return rows;
 }
 
 void PatternIndex::ForEachSorted(
     const std::function<void(uint64_t, const std::string&, const Entry&)>& fn)
     const {
-  struct Row {
-    uint64_t key;
-    const std::string* name;
-    const Entry* entry;
-  };
-  std::vector<Row> sorted;
-  sorted.reserve(size());
-  static const std::string kNoName;
-  for (const Shard& s : shards_) {
-    s.stats.ForEach([&](uint64_t key, const Entry& e) {
-      const std::string* name = s.names.Find(key);
-      sorted.push_back({key, name != nullptr ? name : &kNoName, &e});
-    });
+  std::string name;
+  for (const SortedRow& row : SortedRows()) {
+    name.assign(row.name);
+    fn(row.key, name, Entry{row.stats->sum_impurity, row.stats->columns});
   }
-  std::sort(sorted.begin(), sorted.end(),
-            [](const Row& a, const Row& b) { return *a.name < *b.name; });
-  for (const Row& row : sorted) fn(row.key, *row.name, *row.entry);
 }
 
 Status PatternIndex::Save(const std::string& path) const {
@@ -145,17 +172,14 @@ Status PatternIndex::Save(const std::string& path) const {
   AV_RETURN_NOT_OK(out.Append(kMagic, sizeof(kMagic)));
   const uint64_t n = size();
   AV_RETURN_NOT_OK(out.AppendPod(n));
-  Status st = Status::OK();
-  ForEachSorted([&](uint64_t key, const std::string& name, const Entry& e) {
-    if (!st.ok()) return;
-    const uint32_t len = static_cast<uint32_t>(name.size());
-    st = out.AppendPod(key);
-    if (st.ok()) st = out.AppendPod(len);
-    if (st.ok()) st = out.Append(name.data(), len);
-    if (st.ok()) st = out.AppendPod(e.sum_impurity);
-    if (st.ok()) st = out.AppendPod(e.columns);
-  });
-  AV_RETURN_NOT_OK(st);
+  for (const SortedRow& row : SortedRows()) {
+    const uint32_t len = static_cast<uint32_t>(row.name.size());
+    AV_RETURN_NOT_OK(out.AppendPod(row.key));
+    AV_RETURN_NOT_OK(out.AppendPod(len));
+    AV_RETURN_NOT_OK(out.Append(row.name.data(), len));
+    AV_RETURN_NOT_OK(out.AppendPod(row.stats->sum_impurity));
+    AV_RETURN_NOT_OK(out.AppendPod(row.stats->columns));
+  }
   return out.Commit();
 }
 
@@ -196,11 +220,19 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   if (n > static_cast<uint64_t>(end - p) / kMinEntryBytes) {
     return Status::Corruption("entry count exceeds file size");
   }
+  // Size each shard for its share of n (keys are uniform over shards) plus
+  // headroom for skew, and each arena for its share of the names: an
+  // entry's arena record (4-byte length + name) is its file record minus
+  // the key and the stats.
+  const size_t per_shard = static_cast<size_t>(n / kNumShards);
+  const uint64_t name_bytes = static_cast<uint64_t>(end - p) -
+                              (kMinEntryBytes - sizeof(uint32_t)) * n;
+  const size_t arena_per_shard = static_cast<size_t>(name_bytes / kNumShards);
   PatternIndex idx;
-  for (size_t s = 0; s < kNumShards; ++s) {
-    idx.ReserveShard(s, static_cast<size_t>(2 * n / kNumShards + 1));
+  for (Shard& shard : idx.shards_) {
+    shard.stats.reserve(per_shard + per_shard / 8 + 16);
+    shard.names.reserve(arena_per_shard + arena_per_shard / 8 + 64);
   }
-  std::string name;
   for (uint64_t i = 0; i < n; ++i) {
     uint64_t key = 0;
     uint32_t len = 0;
@@ -219,7 +251,7 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
         len + sizeof(e.sum_impurity) + sizeof(e.columns)) {
       return Status::Corruption("truncated index entry");
     }
-    name.assign(p, len);
+    const std::string_view name(p, len);
     p += len;
     std::memcpy(&e.sum_impurity, p, sizeof(e.sum_impurity));
     p += sizeof(e.sum_impurity);
@@ -228,21 +260,31 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
     if (key != PolyHash64(name)) {
       return Status::Corruption("key/string mismatch in index");
     }
-    idx.InsertAggregate(key, name, e.sum_impurity, e.columns);
+    // The writer emits each key once. A repeat is either a duplicated
+    // entry or a second name colliding on the key; neither may be summed
+    // into (or abort) the loaded index.
+    Shard& shard = idx.ShardFor(key);
+    auto [slot, inserted] = shard.stats.TryEmplace(key);
+    if (!inserted) return Status::Corruption("duplicate key in index");
+    if (!shard.names.Fits(len)) {
+      return Status::ResourceExhausted("index shard names exceed 4 GiB");
+    }
+    slot->name = shard.names.Append(name);
+    slot->sum_impurity = e.sum_impurity;
+    slot->columns = e.columns;
   }
+  // The entries must end where the payload does: slack means the count
+  // under-reports what was written (the trailer cannot tell).
+  if (p != end) return Status::Corruption("index count under-reports entries");
   return idx;
 }
 
 uint64_t PatternIndex::ApproxBytes() const {
   uint64_t bytes = 0;
   for (const Shard& s : shards_) {
-    // Flat slots (key + value) in both tables, with the 8/5 factor
-    // approximating open-addressing slack, plus out-of-line string bytes.
-    bytes += s.stats.size() *
-             (2 * sizeof(uint64_t) + sizeof(Entry) + sizeof(std::string)) *
-             8 / 5;
-    s.names.ForEach(
-        [&bytes](uint64_t, const std::string& n) { bytes += n.size(); });
+    // Every table slot is initialized (resident); an arena's reserved
+    // tail is not touched until written.
+    bytes += s.stats.MemoryBytes() + s.names.size();
   }
   return bytes;
 }

@@ -5,13 +5,15 @@
 // Keying: entries are keyed on the canonical 64-bit interned pattern key
 // (PatternKey == PolyHash64 of the canonical string form), so the online
 // FMDV inner loop probes with an integer hash instead of materializing
-// pattern strings. The readable string form is kept as side data per entry —
-// it is only touched on first insertion, by ForEach-based reporting, and by
-// the on-disk format. Key collisions (two patterns, one key) would silently
-// merge statistics, so the index aborts loudly on mismatch where names are
-// cheap to compare: MergeShardFrom checks every duplicate key it merges
-// (this covers the chunked BuildIndex reduce), AddKeyed checks a sampled
-// subset of repeat insertions, and FMDV re-checks accepted hypotheses.
+// pattern strings. The readable string form is kept as side data per entry
+// in an append-only per-shard name arena — it is only written on first
+// insertion, and read by the collision checks, reporting and the on-disk
+// format. Key collisions (two patterns, one key) would silently merge
+// statistics, so the index aborts loudly on mismatch where names are cheap
+// to compare: MergeShardFrom checks every duplicate key it merges (this
+// covers the chunked BuildIndex reduce), InsertAggregate checks every
+// repeat, AddKeyed checks a sampled subset of repeat insertions, Load
+// rejects any key seen twice, and FMDV re-checks accepted hypotheses.
 //
 // Sharding: the key space is split into kNumShards shards by the key's top
 // bits. Shards are independent, which lets the offline job's reduce phase
@@ -24,6 +26,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/flat_hash.h"
 #include "common/hash.h"
@@ -56,33 +59,33 @@ class PatternIndex {
   /// (call only when the column has at least one matching value, per
   /// Definition 3). `name_fn` produces the canonical string form and is
   /// invoked only the first time `key` is seen. Statistics live in a dense
-  /// key->Entry table (24-byte slots, cache-friendly probes); names live in
-  /// a side table touched only on first insertion.
+  /// key->stats table (24-byte slots, cache-friendly probes); the name is
+  /// appended to the shard's arena on first insertion.
   template <class NameFn>
   void AddKeyed(uint64_t key, double impurity, NameFn&& name_fn) {
     Shard& shard = ShardFor(key);
-    auto [entry, inserted] = shard.stats.TryEmplace(key);
+    auto [slot, inserted] = shard.stats.TryEmplace(key);
     if (inserted) {
-      *shard.names.TryEmplace(key).first = name_fn();
-    } else if ((entry->columns & 0xFF) == 0xFF) {
+      slot->name = shard.names.Append(name_fn());
+    } else if ((slot->columns & 0xFF) == 0xFF) {
       // Sampled collision check (~1/256 repeat insertions): a key whose
       // stored name disagrees with the caller's pattern means two distinct
       // patterns hash to one key — stats would merge silently. Fail loudly.
-      const std::string* stored = shard.names.Find(key);
-      if (stored != nullptr) CheckNoCollision(key, *stored, name_fn());
+      CheckNoCollision(key, shard.names.Get(slot->name), name_fn());
     }
-    entry->sum_impurity += impurity;
-    entry->columns += 1;
+    slot->sum_impurity += impurity;
+    slot->columns += 1;
   }
 
   /// String-keyed convenience (tests, small tools). Equivalent to AddKeyed
   /// with the interned key of `pattern_key`.
   void Add(const std::string& pattern_key, double impurity) {
-    AddKeyed(PolyHash64(pattern_key), impurity, [&] { return pattern_key; });
+    AddKeyed(PolyHash64(pattern_key), impurity,
+             [&]() -> std::string_view { return pattern_key; });
   }
 
-  /// Inserts a fully-aggregated entry (a spill-merge result or a loaded
-  /// file row): `sum_impurity`/`columns` are added as-is, not treated as a
+  /// Inserts a fully-aggregated entry (a spill-merge result):
+  /// `sum_impurity`/`columns` are added as-is, not treated as a
   /// single column's evidence. Aborts loudly if `key` is already present
   /// under a different name (64-bit key collision between distinct
   /// patterns, same policy as the merge paths).
@@ -97,13 +100,10 @@ class PatternIndex {
   /// call this concurrently for different `shard` values.
   void MergeShardFrom(size_t shard, PatternIndex* other);
 
-  /// Reduce helpers: entry count of one shard, and pre-sizing a shard ahead
-  /// of a known merge volume (one rehash instead of many).
+  /// Reduce helpers: entry count of one shard, and pre-sizing a shard's
+  /// table ahead of a known merge volume (one rehash instead of many).
   size_t ShardSize(size_t shard) const { return shards_[shard].stats.size(); }
-  void ReserveShard(size_t shard, size_t n) {
-    shards_[shard].stats.reserve(n);
-    shards_[shard].names.reserve(n);
-  }
+  void ReserveShard(size_t shard, size_t n) { shards_[shard].stats.reserve(n); }
 
   /// Cache-warms the slot `key` would land in (pair with AddKeyed/Lookup a
   /// few operations later to hide the probe's memory latency).
@@ -120,23 +120,23 @@ class PatternIndex {
     return Lookup(PolyHash64(pattern_key));
   }
 
-  /// Stored canonical string form for `key`, or nullptr if absent. Lets
+  /// Stored canonical string form for `key`, or nullopt if absent. Lets
   /// callers that act on a lookup (e.g. FMDV accepting a hypothesis)
   /// confirm the entry really belongs to their pattern and not to a 64-bit
-  /// key collision.
-  const std::string* LookupName(uint64_t key) const {
-    return ShardFor(key).names.Find(key);
-  }
+  /// key collision. The view stays valid until the next insert or merge.
+  std::optional<std::string_view> LookupName(uint64_t key) const;
 
   size_t size() const;
 
   /// Iterates over all entries (analysis / serialization). Shard-by-shard;
-  /// order within a shard is unspecified.
+  /// order within a shard is unspecified. The name argument is one string
+  /// reused across calls: copy it to keep it.
   void ForEach(
       const std::function<void(const std::string&, const Entry&)>& fn) const;
 
   /// Iterates over all entries sorted by canonical string form — the
-  /// deterministic order of the AVIDX002 file and of AVSPILL01 spill runs.
+  /// deterministic order of the AVIDX003 file and of AVSPILL02 spill runs.
+  /// The name argument is reused across calls, as in ForEach.
   void ForEachSorted(const std::function<void(uint64_t, const std::string&,
                                               const Entry&)>& fn) const;
 
@@ -149,25 +149,68 @@ class PatternIndex {
   /// smaller than T" summary of Section 2.4.
   Status Save(const std::string& path) const;
   /// Reads AVIDX003 (trailer-verified) and, for compatibility, untrailed
-  /// AVIDX002 files. Rejects torn/corrupt input with kCorruption.
+  /// AVIDX002 files. Rejects torn/corrupt input, including any key that
+  /// appears twice, with kCorruption.
   static Result<PatternIndex> Load(const std::string& path);
   /// Load from an in-memory file image (the fuzz-harness entry point; Load
   /// is a file slurp plus this).
   static Result<PatternIndex> LoadFromBuffer(std::string_view data);
 
-  /// Approximate in-memory footprint in bytes (diagnostics).
+  /// In-memory footprint in bytes: every table slot plus the name bytes
+  /// written to the arenas. Feeds the out-of-core build's memory budget.
   uint64_t ApproxBytes() const;
 
  private:
   /// Aborts with a diagnostic if `stored` and `fresh` differ (64-bit key
   /// collision between distinct patterns — unrecoverable stat corruption).
-  static void CheckNoCollision(uint64_t key, const std::string& stored,
-                               const std::string& fresh);
+  static void CheckNoCollision(uint64_t key, std::string_view stored,
+                               std::string_view fresh);
+
+  /// Table value: an Entry plus the arena offset of the entry's name, which
+  /// sits where Entry has padding, so a slot stays at 24 bytes.
+  struct Stats {
+    double sum_impurity = 0;
+    uint32_t columns = 0;
+    uint32_t name = 0;
+  };
+  static_assert(U64FlatMap<Stats>::kSlotBytes == 24,
+                "the stats slot must stay at 24 bytes");
+
+  /// One shard's names, append-only: each record is a u32 length followed
+  /// by the name's bytes, addressed by the 32-bit offset of its length.
+  class NameArena {
+   public:
+    /// Largest arena a 32-bit offset can address.
+    static constexpr uint64_t kMaxBytes = uint64_t{1} << 32;
+
+    /// True if appending a `len`-byte name keeps the arena within kMaxBytes.
+    bool Fits(size_t len) const {
+      return bytes_.size() + sizeof(uint32_t) + len <= kMaxBytes;
+    }
+    /// Appends `name` and returns its offset; aborts if it does not Fit
+    /// (an offset must never wrap).
+    uint32_t Append(std::string_view name);
+    std::string_view Get(uint32_t offset) const;
+
+    size_t size() const { return bytes_.size(); }
+    void reserve(size_t n) { bytes_.reserve(n); }
+
+   private:
+    std::vector<char> bytes_;
+  };
 
   struct Shard {
-    U64FlatMap<Entry> stats;        ///< hot accumulate/lookup path
-    U64FlatMap<std::string> names;  ///< canonical string forms (cold path)
+    U64FlatMap<Stats> stats;  ///< hot accumulate/lookup path
+    NameArena names;          ///< canonical string forms (cold path)
   };
+
+  /// Every entry as (key, name, stats), sorted by name.
+  struct SortedRow {
+    uint64_t key;
+    std::string_view name;
+    const Stats* stats;
+  };
+  std::vector<SortedRow> SortedRows() const;
 
   static size_t ShardOf(uint64_t key) { return key >> 60; }
   Shard& ShardFor(uint64_t key) { return shards_[ShardOf(key)]; }

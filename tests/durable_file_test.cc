@@ -15,6 +15,7 @@
 
 #include "common/file_ops.h"
 #include "common/hash.h"
+#include "common/rng.h"
 #include "common/temp_file.h"
 
 namespace av {
@@ -51,6 +52,30 @@ TEST(PolyHasherTest, MatchesOneShotHashForAnyChunking) {
     EXPECT_EQ(h.digest(), PolyHash64(data)) << "chunk " << chunk;
   }
   EXPECT_EQ(PolyHasher{}.digest(), PolyHash64(""));
+
+  // 1 MiB of random bytes under random fragment sizes (many not a multiple
+  // of the four-byte fold), checked against a byte-at-a-time fold: the
+  // blocked evaluation must be the same polynomial, so no trailer changes.
+  Rng rng(20261018);
+  std::string big(1u << 20, '\0');
+  for (char& c : big) c = static_cast<char>(rng.Next());
+  uint64_t reference = kPolySeed;
+  for (const char c : big) {
+    reference = reference * kPolyMul + static_cast<unsigned char>(c);
+  }
+  ASSERT_EQ(PolyHash64(big), reference);
+  for (int trial = 0; trial < 8; ++trial) {
+    PolyHasher h;
+    size_t fragments = 0;
+    for (size_t i = 0; i < big.size(); ++fragments) {
+      const size_t n = static_cast<size_t>(
+          rng.Range(0, trial % 2 == 0 ? 13 : 70000));
+      h.Update(std::string_view(big).substr(i, n));
+      i += n;
+    }
+    EXPECT_EQ(h.digest(), reference)
+        << "trial " << trial << ", " << fragments << " fragments";
+  }
 }
 
 TEST(DurableFileTest, CommitProducesVerifiableTrailedFile) {

@@ -2,12 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/durable_file.h"
 #include "common/hash.h"
+#include "common/temp_file.h"
 #include "lakegen/lakegen.h"
 
 #include "index/analysis.h"
@@ -79,6 +85,163 @@ TEST(PatternIndexTest, LoadRejectsGarbage) {
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
   std::filesystem::remove(path);
+}
+
+/// Two 1024-byte strings with one PolyHash64: the Thue-Morse word over
+/// {A, B} and its complement. Their hash difference is +-(x - 1)(x^2 - 1)
+/// (x^4 - 1)...(x^512 - 1) at x = kPolyMul; as kPolyMul = 3 mod 8 those ten
+/// factors hold 1 + 3 + 4 + ... + 11 = 64 factors of two, so the difference
+/// vanishes mod 2^64.
+std::pair<std::string, std::string> CollidingNames() {
+  std::string a = "A";
+  while (a.size() < 1024) {
+    std::string flipped = a;
+    for (char& c : flipped) c = c == 'A' ? 'B' : 'A';
+    a += flipped;
+  }
+  std::string b = a;
+  for (char& c : b) c = c == 'A' ? 'B' : 'A';
+  return {a, b};
+}
+
+/// An AVIDX003 file image holding one (0.5, 3) entry per name, in the given
+/// order, each keyed by PolyHash64 of its name, under a header that claims
+/// `count` entries and framed by a valid trailer: only the entry-level
+/// checks can reject it.
+std::string IndexImage(const std::vector<std::string>& names,
+                       std::optional<uint64_t> count = std::nullopt) {
+  std::string file("AVIDX003", 8);
+  const auto put = [&file](const auto& v) {
+    file.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(count.value_or(names.size()));
+  for (const std::string& name : names) {
+    put(PolyHash64(name));
+    put(static_cast<uint32_t>(name.size()));
+    file += name;
+    put(0.5);
+    put(uint32_t{3});
+  }
+  const uint64_t len = file.size();
+  const uint64_t digest = PolyHash64(file);
+  put(len);
+  put(digest);
+  file.append(kTrailerMagic, sizeof(kTrailerMagic));
+  return file;
+}
+
+TEST(PatternIndexTest, LoadRejectsRepeatedKey) {
+  auto once = PatternIndex::LoadFromBuffer(IndexImage({"<digit>+", "x"}));
+  ASSERT_TRUE(once.ok()) << once.status().ToString();
+  EXPECT_EQ(once->Lookup("<digit>+")->coverage, 3u);
+  // The writer emits each key once; a repeat must not load as one entry
+  // with the two coverages summed.
+  auto loaded =
+      PatternIndex::LoadFromBuffer(IndexImage({"<digit>+", "<digit>+"}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(PatternIndexTest, LoadRejectsCollidingNames) {
+  // Two names on one key: a clean kCorruption, not an abort of the loading
+  // process.
+  const auto [a, b] = CollidingNames();
+  ASSERT_NE(a, b);
+  ASSERT_EQ(PolyHash64(a), PolyHash64(b));
+  auto loaded = PatternIndex::LoadFromBuffer(IndexImage({a, b}));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(PatternIndexTest, LoadRejectsBytesAfterLastEntry) {
+  // A count that under-reports the entries leaves bytes after the last
+  // one it covers; the tail must not be silently dropped.
+  auto loaded = PatternIndex::LoadFromBuffer(
+      IndexImage({"<digit>+", "<letter>+"}, /*count=*/1));
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(PatternIndexTest, NamesSurviveSaveLoadAndMerge) {
+  // Names are length-prefixed arena records: an empty name, embedded NUL
+  // bytes and a long name must all read back exactly, after a load and
+  // after a merge copies them into another shard's arena.
+  const std::vector<std::string> names = {
+      "", std::string("a\0b", 3), std::string(5000, 'z'), "<digit>{4}"};
+  PatternIndex built;
+  for (const std::string& n : names) built.Add(n, 0.25);
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  ASSERT_TRUE(built.Save(dir->File("names.idx")).ok());
+  auto loaded = PatternIndex::Load(dir->File("names.idx"));
+  ASSERT_TRUE(loaded.ok());
+  PatternIndex merged;
+  merged.Add("<digit>{4}", 0.75);
+  merged.MergeFrom(std::move(loaded).value());
+  for (const std::string& n : names) {
+    const auto stored = merged.LookupName(PolyHash64(n));
+    ASSERT_TRUE(stored.has_value());
+    EXPECT_EQ(*stored, n);
+  }
+  EXPECT_EQ(merged.Lookup("<digit>{4}")->coverage, 2u);
+  std::vector<std::string> walked;
+  merged.ForEachSorted([&](uint64_t key, const std::string& name,
+                           const PatternIndex::Entry&) {
+    EXPECT_EQ(key, PolyHash64(name));
+    walked.push_back(name);
+  });
+  std::vector<std::string> sorted = names;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(walked, sorted);
+  EXPECT_FALSE(merged.LookupName(PolyHash64("absent")).has_value());
+}
+
+// Every write path that can meet a 64-bit key collision between distinct
+// names aborts rather than merging the two patterns' statistics.
+TEST(PatternIndexDeathTest, InsertAggregateAbortsOnCollision) {
+  const auto [a, b] = CollidingNames();
+  PatternIndex idx;
+  idx.InsertAggregate(PolyHash64(a), a, 0.5, 3);
+  EXPECT_DEATH(idx.InsertAggregate(PolyHash64(b), b, 0.5, 3),
+               "key collision");
+}
+
+TEST(PatternIndexDeathTest, MergeFromAbortsOnCollision) {
+  const auto [a, b] = CollidingNames();
+  const auto holding = [](const std::string& name) {
+    PatternIndex idx;
+    idx.Add(name, 0.5);
+    return idx;
+  };
+  {
+    // Into an empty index: the first merge adopts the source shards
+    // wholesale, the second merges entry by entry.
+    PatternIndex dst;
+    dst.MergeFrom(holding(a));
+    EXPECT_DEATH(dst.MergeFrom(holding(b)), "key collision");
+  }
+  {
+    // Into one with reserved shards: both merges go entry by entry.
+    PatternIndex dst;
+    for (size_t s = 0; s < PatternIndex::kNumShards; ++s) {
+      dst.ReserveShard(s, 4);
+    }
+    dst.MergeFrom(holding(a));
+    EXPECT_DEATH(dst.MergeFrom(holding(b)), "key collision");
+  }
+}
+
+TEST(PatternIndexDeathTest, AddKeyedSampledCheckAbortsOnCollision) {
+  // AddKeyed compares names on one repeat in 256: after 255 columns of
+  // evidence for `a`, the next insert under the shared key is checked.
+  const auto [a, b] = CollidingNames();
+  const uint64_t key = PolyHash64(a);
+  PatternIndex idx;
+  for (int i = 0; i < 255; ++i) {
+    idx.AddKeyed(key, 0.0, [&a = a] { return a; });
+  }
+  EXPECT_DEATH(idx.AddKeyed(key, 0.0, [&b = b] { return b; }),
+               "key collision");
 }
 
 // Golden byte-identity of the saved AVIDX003 payload (the bytes before the

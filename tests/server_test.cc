@@ -483,7 +483,9 @@ TEST(ServerEvictionTest, SlowReaderTripsOutboxCapAndIsEvicted) {
   // overflow the cap.
   WireWriter w;
   w.PutStr("a");
-  w.PutValues(std::vector<std::string>(5, std::string(2048, 'x')));
+  w.PutValues({std::string(2048, 'v'), std::string(2048, 'w'),
+               std::string(2048, 'x'), std::string(2048, 'y'),
+               std::string(2048, 'z')});
   const std::string request =
       std::string(kHello, kHelloSize) +
       EncodeFrame(static_cast<uint8_t>(Opcode::kValidate), w.str());

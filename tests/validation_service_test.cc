@@ -601,6 +601,9 @@ TEST(ValidationServiceConcurrencyTest, ConcurrentValidateUnderWriterChurn) {
   service.Upsert("ids", DigitsRule(1000, 1));
   const auto clean = DigitBatch(900, 0);
   const auto drifted = DigitBatch(855, 45);
+  // Four readers run the Fisher test on the drifted batch at once; each
+  // p-value must be the single-threaded one, bit for bit.
+  const double drifted_p = ValidateColumn(DigitsRule(1000, 1), drifted).p_value;
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> validations{0};
@@ -613,7 +616,8 @@ TEST(ValidationServiceConcurrencyTest, ConcurrentValidateUnderWriterChurn) {
         const bool use_drifted = (t % 2) == 0;
         const auto report =
             service.Validate("ids", use_drifted ? drifted : clean);
-        if (!report.ok() || report->flagged != use_drifted) {
+        if (!report.ok() || report->flagged != use_drifted ||
+            (use_drifted && report->p_value != drifted_p)) {
           wrong.fetch_add(1, std::memory_order_relaxed);
         }
         validations.fetch_add(1, std::memory_order_relaxed);
