@@ -1,7 +1,8 @@
 // Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{index,ruleset,
 // spill,frame}/) from the real writers, so every seed is a well-formed file
-// of the current format plus one of the previous (read-compat) format. Run
-// from the repo root:
+// of the current format, plus one of the previous format where that is
+// still readable (index and rule-set files; spill runs never outlive their
+// build). Run from the repo root:
 //
 //   ./build/make_seed_corpus fuzz/corpus
 //
@@ -122,15 +123,7 @@ int main(int argc, char** argv) {
       if (!writer.Append(e).ok()) return 1;
     }
     if (!writer.Finish().ok()) return 1;
-    const std::string v2 = Slurp(tmp);
-    WriteFile(root + "/spill/small_v2.avspill", v2);
-    // Previous AVSPILL01 layout: count in the header instead of at the end
-    // of the payload, no trailer.
-    const std::string payload = StripTrailer(v2);
-    const std::string entries = payload.substr(9, payload.size() - 9 - 8);
-    const std::string count = payload.substr(payload.size() - 8);
-    WriteFile(root + "/spill/small_v1.avspill",
-              "AVSPILL01" + count + entries);
+    WriteFile(root + "/spill/small_v2.avspill", Slurp(tmp));
   }
 
   // ------------------------------------------------------------- frame

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "corpus/format.h"
-
 namespace av {
 
 Result<ColumnChunk> CorpusColumnReader::NextChunk(size_t max_columns) {
@@ -12,27 +10,6 @@ Result<ColumnChunk> CorpusColumnReader::NextChunk(size_t max_columns) {
   chunk.columns.assign(columns_.begin() + next_, columns_.begin() + end);
   next_ = end;
   return chunk;  // owner stays null: the caller's corpus owns the storage
-}
-
-CsvDirColumnReader::CsvDirColumnReader(
-    std::unique_ptr<LakeDirColumnReader> impl)
-    : impl_(std::move(impl)) {}
-
-CsvDirColumnReader::CsvDirColumnReader(CsvDirColumnReader&&) noexcept =
-    default;
-CsvDirColumnReader& CsvDirColumnReader::operator=(
-    CsvDirColumnReader&&) noexcept = default;
-CsvDirColumnReader::~CsvDirColumnReader() = default;
-
-Result<CsvDirColumnReader> CsvDirColumnReader::Open(const std::string& dir) {
-  auto impl = LakeDirColumnReader::Open(dir, LakeFormat::kCsv);
-  if (!impl.ok()) return impl.status();
-  return CsvDirColumnReader(
-      std::make_unique<LakeDirColumnReader>(std::move(impl).value()));
-}
-
-Result<ColumnChunk> CsvDirColumnReader::NextChunk(size_t max_columns) {
-  return impl_->NextChunk(max_columns);
 }
 
 }  // namespace av

@@ -42,10 +42,6 @@ class ColumnReader {
   /// Yields the next chunk of exactly `max_columns` columns (fewer only at
   /// end of stream; an empty chunk means the stream is exhausted).
   virtual Result<ColumnChunk> NextChunk(size_t max_columns) = 0;
-
-  /// Total columns in the stream if cheaply known, 0 otherwise (hint only;
-  /// used for progress reporting, never for correctness).
-  virtual size_t TotalColumnsHint() const { return 0; }
 };
 
 /// Adapter over an in-memory Corpus (no copies; the corpus must outlive
@@ -56,35 +52,10 @@ class CorpusColumnReader : public ColumnReader {
       : columns_(corpus.AllColumns()) {}
 
   Result<ColumnChunk> NextChunk(size_t max_columns) override;
-  size_t TotalColumnsHint() const override { return columns_.size(); }
 
  private:
   std::vector<const Column*> columns_;
   size_t next_ = 0;
-};
-
-class LakeDirColumnReader;  // corpus/format.h
-
-/// Streams the columns of every `*.csv` file under a directory, loading
-/// one file at a time with the incremental CSV parser (never the whole
-/// file, let alone the lake). Kept as the stable CSV-only entry point; it
-/// is a thin wrapper over LakeDirColumnReader (corpus/format.h) forced to
-/// the CSV format — mixed-format lakes open through the registry instead.
-class CsvDirColumnReader : public ColumnReader {
- public:
-  /// Lists the directory up front (cheap); file contents load lazily.
-  static Result<CsvDirColumnReader> Open(const std::string& dir);
-
-  CsvDirColumnReader(CsvDirColumnReader&&) noexcept;
-  CsvDirColumnReader& operator=(CsvDirColumnReader&&) noexcept;
-  ~CsvDirColumnReader() override;
-
-  Result<ColumnChunk> NextChunk(size_t max_columns) override;
-
- private:
-  explicit CsvDirColumnReader(std::unique_ptr<LakeDirColumnReader> impl);
-
-  std::unique_ptr<LakeDirColumnReader> impl_;
 };
 
 }  // namespace av

@@ -32,8 +32,8 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(std::string_view text,
 /// slurp-regression test pins it.
 ///
 /// Feed scans for the next structural byte (separator/quote/newline) with
-/// the tokenizer's dispatch-selected multi-needle kernel (SWAR/SSE/AVX2,
-/// see pattern/simd/token_simd.h) and appends clean spans in bulk; only
+/// the tokenizer's dispatch-selected multi-needle kernel (see
+/// pattern/simd/token_simd.h) and appends clean spans in bulk; only
 /// structural bytes run through the per-byte state machine. Rows and
 /// residency accounting are byte-identical across dispatch arms.
 class IncrementalCsvParser {

@@ -248,12 +248,13 @@ Result<PatternIndex> BuildIndexStreaming(ColumnReader& reader,
         },
         &local.merge_passes));
   } else {
-    // In-memory reduce, shard-parallel: identical to the non-streaming
-    // BuildIndex (chunk order alone determines per-key accumulation).
+    // In-memory reduce: the kNumShards key shards merge concurrently, each
+    // adopting its first chunk's table and folding the later chunks into
+    // it in chunk order. Per-key accumulation order is therefore a function
+    // of the column order alone, making the result (including its
+    // floating-point sums, and hence the Save output) byte-identical for
+    // any thread count.
     pool.ParallelFor(PatternIndex::kNumShards, [&](size_t s) {
-      size_t upper_bound = 0;
-      for (const auto& chunk : retained) upper_bound += chunk->ShardSize(s);
-      global.ReserveShard(s, upper_bound);
       for (const auto& chunk : retained) global.MergeShardFrom(s, chunk.get());
     });
   }
@@ -266,82 +267,33 @@ Result<PatternIndex> BuildIndexStreaming(ColumnReader& reader,
 Result<PatternIndex> TryBuildIndex(const Corpus& corpus,
                                    const IndexerConfig& cfg,
                                    IndexerReport* report) {
-  if (cfg.build.memory_budget_bytes > 0) {
-    CorpusColumnReader reader(corpus);
-    auto built = BuildIndexStreaming(reader, cfg, report);
-    if (built.ok()) return built;
-    if (cfg.build.strict_spill) return built.status();
-    // Spill-path IO failure (e.g. unwritable spill directory): the lake fit
-    // in memory to get here, so fall back to the in-memory build rather
-    // than failing the whole job — but say so (the memory budget was not
-    // honored). Callers that pass a report get the structured
-    // spill_fallback fields and own the messaging; only a caller with no
-    // report sink at all gets the stderr line, so a server or test that
-    // collects reports never has a library printing on its stderr.
-    if (report == nullptr) {
-      std::fprintf(stderr,
-                   "BuildIndex: out-of-core path failed (%s); "
-                   "falling back to in-memory build\n",
-                   built.status().ToString().c_str());
-    }
-    IndexerConfig in_core = cfg;
-    in_core.build.memory_budget_bytes = 0;
-    IndexerReport fallback_report;
-    PatternIndex index = BuildIndex(corpus, in_core, &fallback_report);
-    fallback_report.spill_fallback = true;
-    fallback_report.spill_fallback_error = built.status().ToString();
-    if (report != nullptr) *report = std::move(fallback_report);
-    return index;
+  CorpusColumnReader reader(corpus);
+  auto built = BuildIndexStreaming(reader, cfg, report);
+  if (built.ok() || cfg.build.memory_budget_bytes == 0 ||
+      cfg.build.strict_spill) {
+    return built;
   }
-
-  Stopwatch timer;
-  const auto columns = corpus.AllColumns();
-
-  // Map phase: columns are split into fixed-size chunks, independent of the
-  // thread count, and each chunk accumulates into its own local index — no
-  // shared state, no locks. Reduce phase: the kNumShards key shards are
-  // merged concurrently, each shard walking the chunk-local indexes in
-  // chunk order. Per-key accumulation order is therefore a function of the
-  // column order alone, making the result (including its floating-point
-  // sums, and hence the Save output) byte-identical for any thread count.
-  const size_t num_chunks =
-      (columns.size() + kColumnsPerChunk - 1) / kColumnsPerChunk;
-
-  std::vector<PatternIndex> chunk_index(num_chunks);
-  std::vector<IndexerReport> chunk_report(num_chunks);
-
-  ThreadPool pool(cfg.num_threads);
-  pool.ParallelFor(num_chunks, [&](size_t c) {
-    ColumnChunk chunk;
-    const size_t begin = c * kColumnsPerChunk;
-    const size_t end = std::min(columns.size(), begin + kColumnsPerChunk);
-    chunk.columns.assign(columns.begin() + begin, columns.begin() + end);
-    chunk_report[c] = MapChunk(chunk, cfg, &chunk_index[c]);
-  });
-
-  PatternIndex global;
-  pool.ParallelFor(PatternIndex::kNumShards, [&](size_t s) {
-    size_t upper_bound = 0;
-    for (size_t c = 0; c < num_chunks; ++c) {
-      upper_bound += chunk_index[c].ShardSize(s);
-    }
-    global.ReserveShard(s, upper_bound);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      global.MergeShardFrom(s, &chunk_index[c]);
-    }
-  });
-
-  IndexerReport local_report;
-  local_report.columns_total = columns.size();
-  for (const IndexerReport& r : chunk_report) {
-    local_report.patterns_emitted += r.patterns_emitted;
-    local_report.columns_indexed += r.columns_indexed;
-    local_report.columns_all_too_wide += r.columns_all_too_wide;
+  // Spill-path IO failure (e.g. unwritable spill directory): the lake fit
+  // in memory to get here, so fall back to the in-memory build rather
+  // than failing the whole job — but say so (the memory budget was not
+  // honored). Callers that pass a report get the structured
+  // spill_fallback fields and own the messaging; only a caller with no
+  // report sink at all gets the stderr line, so a server or test that
+  // collects reports never has a library printing on its stderr.
+  if (report == nullptr) {
+    std::fprintf(stderr,
+                 "BuildIndex: out-of-core path failed (%s); "
+                 "falling back to in-memory build\n",
+                 built.status().ToString().c_str());
   }
-
-  local_report.seconds = timer.ElapsedSeconds();
-  if (report != nullptr) *report = local_report;
-  return global;
+  IndexerConfig in_core = cfg;
+  in_core.build.memory_budget_bytes = 0;
+  IndexerReport fallback_report;
+  PatternIndex index = BuildIndex(corpus, in_core, &fallback_report);
+  fallback_report.spill_fallback = true;
+  fallback_report.spill_fallback_error = built.status().ToString();
+  if (report != nullptr) *report = std::move(fallback_report);
+  return index;
 }
 
 PatternIndex BuildIndex(const Corpus& corpus, const IndexerConfig& cfg,
@@ -350,7 +302,7 @@ PatternIndex BuildIndex(const Corpus& corpus, const IndexerConfig& cfg,
   lenient.build.strict_spill = false;
   auto built = TryBuildIndex(corpus, lenient, report);
   // Infallible: with strict_spill off, spill failures fall back to the
-  // in-memory path, which cannot fail.
+  // in-memory path, which cannot fail (a corpus reader never errors).
   return std::move(built).value();
 }
 

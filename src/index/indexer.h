@@ -90,12 +90,12 @@ struct IndexerReport {
   std::string spill_fallback_error;
 };
 
-/// Runs the offline scan over every column of `corpus`. With
-/// `cfg.build.memory_budget_bytes` set, takes the out-of-core path; if that
-/// path fails (e.g. no writable spill directory) the behavior depends on
-/// `cfg.build.strict_spill`: off (default) warns on stderr, falls back to
-/// the in-memory build and records the fallback in the report; on makes the
-/// failure a hard error.
+/// Runs the offline scan over every column of `corpus`: BuildIndexStreaming
+/// over a CorpusColumnReader. With `cfg.build.memory_budget_bytes` set,
+/// takes the out-of-core path; if that path fails (e.g. no writable spill
+/// directory) the behavior depends on `cfg.build.strict_spill`: off
+/// (default) warns on stderr, falls back to the in-memory build and
+/// records the fallback in the report; on makes the failure a hard error.
 Result<PatternIndex> TryBuildIndex(const Corpus& corpus,
                                    const IndexerConfig& cfg,
                                    IndexerReport* report = nullptr);

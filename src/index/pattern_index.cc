@@ -74,14 +74,15 @@ void PatternIndex::MergeFrom(PatternIndex&& other) {
 void PatternIndex::MergeShardFrom(size_t shard, PatternIndex* other) {
   Shard& dst = shards_[shard];
   Shard& src = other->shards_[shard];
-  if (dst.stats.empty() && dst.stats.capacity() == 0) {
-    // Not pre-reserved: adopt the source table and arena wholesale (name
-    // offsets are arena-relative, so they stay valid).
+  if (dst.stats.empty()) {
+    // Adopt the source table and arena wholesale (name offsets are
+    // arena-relative, so they stay valid). Sizing the table for the sum of
+    // the merged shards instead would over-size it by up to the number of
+    // chunks that share its keys.
     dst = std::move(src);
     src = Shard();
     return;
   }
-  dst.stats.reserve(dst.stats.size() + src.stats.size());
   src.stats.ConsumePipelined(
       [&dst](uint64_t key) { dst.stats.Prefetch(key); },
       [&dst, &src](uint64_t key, Stats&& e) {

@@ -96,14 +96,11 @@ class PatternIndex {
   void MergeFrom(PatternIndex&& other);
 
   /// Merges (and consumes) one shard of `other` into the same shard of this
-  /// index. Distinct shards are independent, so the offline reduce phase may
-  /// call this concurrently for different `shard` values.
+  /// index: an empty shard adopts `other`'s table and arena wholesale, a
+  /// non-empty one takes `other`'s entries one by one (growing by
+  /// doubling). Distinct shards are independent, so the offline reduce
+  /// phase may call this concurrently for different `shard` values.
   void MergeShardFrom(size_t shard, PatternIndex* other);
-
-  /// Reduce helpers: entry count of one shard, and pre-sizing a shard's
-  /// table ahead of a known merge volume (one rehash instead of many).
-  size_t ShardSize(size_t shard) const { return shards_[shard].stats.size(); }
-  void ReserveShard(size_t shard, size_t n) { shards_[shard].stats.reserve(n); }
 
   /// Cache-warms the slot `key` would land in (pair with AddKeyed/Lookup a
   /// few operations later to hide the probe's memory latency).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
-#include <optional>
 
 #include "common/hash.h"
 
@@ -14,14 +13,10 @@ namespace {
 // Payload: magic (9 bytes) + entries + u64 entry count, then the 24-byte
 // checksum trailer (durable_file.h). Entry: u64 key, u32 name length, name
 // bytes, f64 sum_impurity, u32 columns — the AVIDX003 entry encoding
-// (docs/FILE_FORMATS.md). The count trails the entries (instead of living
-// in the header as in v1) so the writer streams strictly forward: a
-// seek-back count patch would invalidate the incrementally-computed
-// payload checksum.
+// (docs/FILE_FORMATS.md). The count trails the entries so the writer
+// streams strictly forward: a seek-back count patch would invalidate the
+// incrementally-computed payload checksum.
 constexpr char kSpillMagic[9] = {'A', 'V', 'S', 'P', 'I', 'L', 'L', '0', '2'};
-/// Previous format, still readable: count in the header, no trailer.
-constexpr char kSpillMagicV1[9] = {'A', 'V', 'S', 'P', 'I', 'L', 'L', '0',
-                                   '1'};
 constexpr uint64_t kMagicBytes = sizeof(kSpillMagic);
 /// Smallest entry: key (8) + length (4) + empty name + f64 (8) + u32 (4).
 constexpr uint64_t kMinEntryBytes = 24;
@@ -91,78 +86,45 @@ Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
 
 Status SpillRunCursor::Open(const std::string& path) {
   path_ = path;
-  std::error_code ec;
-  const uint64_t file_bytes = std::filesystem::file_size(path, ec);
-  if (ec) return Status::IOError("cannot stat spill run: " + path);
+  // Whole-payload checksum first (streamed, constant memory): a torn,
+  // bit-rotted or foreign file is rejected before any entry is parsed.
+  auto len = VerifyTrailerFile(path);
+  if (!len.ok()) return len.status();
   file_.open(path, std::ios::binary);
   if (!file_) return Status::IOError("cannot open spill run: " + path);
   in_ = &file_;
-  std::optional<uint64_t> payload_len;
-  if (file_bytes >= kMagicBytes) {
-    char magic[kMagicBytes];
-    file_.read(magic, sizeof(magic));
-    const bool is_v2 =
-        file_ && std::memcmp(magic, kSpillMagic, sizeof(magic)) == 0;
-    file_.seekg(0);
-    if (is_v2) {
-      // Whole-payload checksum first (streamed, constant memory): a torn or
-      // bit-rotted run is rejected before any entry is parsed.
-      auto len = VerifyTrailerFile(path);
-      if (!len.ok()) return len.status();
-      payload_len = *len;
-    }
-  }
-  return OpenStream(file_bytes, payload_len);
+  return OpenStream(*len);
 }
 
 Status SpillRunCursor::OpenBuffer(std::string data) {
   path_ = "<memory>";
-  const uint64_t file_bytes = data.size();
-  std::optional<uint64_t> payload_len;
-  if (data.size() >= kMagicBytes &&
-      std::memcmp(data.data(), kSpillMagic, kMagicBytes) == 0) {
-    auto len = VerifyTrailer(data);
-    if (!len.ok()) return len.status();
-    payload_len = *len;
-  }
+  auto len = VerifyTrailer(data);
+  if (!len.ok()) return len.status();
   mem_.str(std::move(data));
   mem_.clear();
   in_ = &mem_;
-  return OpenStream(file_bytes, payload_len);
+  return OpenStream(*len);
 }
 
-Status SpillRunCursor::OpenStream(uint64_t file_bytes,
-                                  std::optional<uint64_t> payload_len) {
+Status SpillRunCursor::OpenStream(uint64_t payload_len) {
   char magic[kMagicBytes];
+  if (payload_len < kMagicBytes + sizeof(remaining_)) {
+    return Status::Corruption("spill run payload too small: " + path_);
+  }
   in_->read(magic, sizeof(magic));
   if (!*in_) return Status::Corruption("truncated spill run: " + path_);
-  if (std::memcmp(magic, kSpillMagic, sizeof(magic)) == 0) {
-    // AVSPILL02: trailer already verified by the caller; the count is the
-    // last 8 payload bytes.
-    if (!payload_len.has_value() ||
-        *payload_len < kMagicBytes + sizeof(remaining_)) {
-      return Status::Corruption("spill run payload too small: " + path_);
-    }
-    entries_end_ = *payload_len - sizeof(remaining_);
-    in_->seekg(static_cast<std::streamoff>(entries_end_));
-    in_->read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_));
-    if (!*in_) {
-      return Status::Corruption("truncated spill run count: " + path_);
-    }
-    in_->seekg(static_cast<std::streamoff>(kMagicBytes));
-    pos_ = kMagicBytes;
-  } else if (std::memcmp(magic, kSpillMagicV1, sizeof(magic)) == 0) {
-    // AVSPILL01 (read-compat): count in the header, no trailer — truncation
-    // is caught per-entry.
-    in_->read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_));
-    if (!*in_) {
-      return Status::Corruption("truncated spill run header: " + path_);
-    }
-    entries_end_ = file_bytes;
-    pos_ = kMagicBytes + sizeof(remaining_);
-  } else {
+  if (std::memcmp(magic, kSpillMagic, sizeof(magic)) != 0) {
     return Status::Corruption("bad spill run magic: " + path_);
   }
+  // The count is the last 8 payload bytes.
+  entries_end_ = payload_len - sizeof(remaining_);
+  in_->seekg(static_cast<std::streamoff>(entries_end_));
+  in_->read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_));
+  if (!*in_) {
+    return Status::Corruption("truncated spill run count: " + path_);
+  }
+  in_->seekg(static_cast<std::streamoff>(kMagicBytes));
+  pos_ = kMagicBytes;
   // Size-clamp the entry count before trusting it (same policy as
   // PatternIndex::Load): every entry takes at least kMinEntryBytes.
   if (entries_end_ < pos_ ||

@@ -1,15 +1,19 @@
 // Dispatch resolver + portable kernels for the tokenizer SIMD layer.
 //
+// Two arms exist: the SSSE3 block kernel ("sse2", token_simd_sse2.cc,
+// compiled only when CMake defines AV_SIMD_SSE2) and the portable SWAR
+// scanner, the only arm of a portable build or a non-x86 target. The
+// resolver picks the block kernel whenever it was compiled and CPUID
+// reports SSSE3.
+//
 // This translation unit is compiled WITHOUT any -m flags: it may only
-// reference the SSE2/AVX2 kernel symbols (compiled in their own TUs with
-// per-file flags) through ordinary function pointers, and may only select
-// them after the CPUID check says the instructions exist.
+// reference the kernel symbols (compiled in their own TU with a per-file
+// flag) through ordinary function pointers, and may only select them
+// after the CPUID check says the instructions exist.
 #include "pattern/simd/token_simd.h"
 
 #include <atomic>
 #include <bit>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "pattern/token.h"
@@ -21,39 +25,15 @@ namespace av::simd {
 void BlockClassifySse2(const char* p, size_t n, BlockMasks* out);
 size_t FindAnyOf4Sse2(const char* p, size_t n, const unsigned char set[4]);
 #endif
-#if defined(AV_SIMD_AVX2)
-// Defined in token_simd_avx2.cc (compiled with -mavx2).
-void BlockClassifyAvx2(const char* p, size_t n, BlockMasks* out);
-size_t FindAnyOf4Avx2(const char* p, size_t n, const unsigned char set[4]);
-#endif
 
 const char* TokenizerArmName(TokenizerArm arm) {
   switch (arm) {
-    case TokenizerArm::kScalar:
-      return "scalar";
     case TokenizerArm::kSwar:
       return "swar";
     case TokenizerArm::kSse2:
       return "sse2";
-    case TokenizerArm::kAvx2:
-      return "avx2";
   }
   return "?";
-}
-
-bool ParseTokenizerArm(std::string_view name, TokenizerArm* out) {
-  if (name == "scalar") {
-    *out = TokenizerArm::kScalar;
-  } else if (name == "swar") {
-    *out = TokenizerArm::kSwar;
-  } else if (name == "sse2" || name == "ssse3") {  // accept the honest name
-    *out = TokenizerArm::kSse2;
-  } else if (name == "avx2") {
-    *out = TokenizerArm::kAvx2;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 void BlockClassifyScalar(const char* p, size_t n, BlockMasks* out) {
@@ -108,64 +88,31 @@ size_t FindAnyOf4Swar(const char* p, size_t n, const unsigned char set[4]) {
 
 namespace {
 
-bool ArmCompiledIn(TokenizerArm arm) {
-  switch (arm) {
-    case TokenizerArm::kScalar:
-    case TokenizerArm::kSwar:
-      return true;
-    case TokenizerArm::kSse2:
-#if defined(AV_SIMD_SSE2)
-      return true;
+/// True when the SSSE3 kernel was compiled in and this CPU can run it.
+bool Sse2Available() {
+#if defined(AV_SIMD_SSE2) && (defined(__x86_64__) || defined(__i386__)) && \
+    defined(__GNUC__)
+  return __builtin_cpu_supports("ssse3");
 #else
-      return false;
-#endif
-    case TokenizerArm::kAvx2:
-#if defined(AV_SIMD_AVX2)
-      return true;
-#else
-      return false;
-#endif
-  }
   return false;
-}
-
-bool CpuSupportsArm(TokenizerArm arm) {
-  switch (arm) {
-    case TokenizerArm::kScalar:
-    case TokenizerArm::kSwar:
-      return true;
-    default:
-      break;
-  }
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  if (arm == TokenizerArm::kSse2) return __builtin_cpu_supports("ssse3");
-  if (arm == TokenizerArm::kAvx2) return __builtin_cpu_supports("avx2");
 #endif
-  return false;
 }
 
 /// One immutable kernel table per arm; the active pointer swings between
 /// them. (Dynamic init is fine: entries are only reached through
 /// ActiveTokenizerKernels, which resolves lazily.)
-const TokenizerKernels kKernelTables[4] = {
-    {TokenizerArm::kScalar, nullptr, &FindAnyOf4Scalar},
+const TokenizerKernels kKernelTables[2] = {
     {TokenizerArm::kSwar, nullptr, &FindAnyOf4Swar},
 #if defined(AV_SIMD_SSE2)
     {TokenizerArm::kSse2, &BlockClassifySse2, &FindAnyOf4Sse2},
 #else
     {TokenizerArm::kSse2, nullptr, &FindAnyOf4Swar},  // never selected
 #endif
-#if defined(AV_SIMD_AVX2)
-    {TokenizerArm::kAvx2, &BlockClassifyAvx2, &FindAnyOf4Avx2},
-#else
-    {TokenizerArm::kAvx2, nullptr, &FindAnyOf4Swar},  // never selected
-#endif
 };
 
-TokenizerArm BestAvailableArm() {
-  if (TokenizerArmAvailable(TokenizerArm::kAvx2)) return TokenizerArm::kAvx2;
-  if (TokenizerArmAvailable(TokenizerArm::kSse2)) return TokenizerArm::kSse2;
-  return TokenizerArm::kSwar;
+bool ArmAvailable(TokenizerArm arm) {
+  return arm == TokenizerArm::kSwar ||
+         (arm == TokenizerArm::kSse2 && Sse2Available());
 }
 
 }  // namespace
@@ -174,46 +121,18 @@ namespace detail {
 std::atomic<const TokenizerKernels*> g_active_kernels{nullptr};
 }  // namespace detail
 
-bool TokenizerArmAvailable(TokenizerArm arm) {
-  return ArmCompiledIn(arm) && CpuSupportsArm(arm);
-}
-
 std::vector<TokenizerArm> AvailableTokenizerArms() {
-  std::vector<TokenizerArm> arms;
-  for (const TokenizerArm arm :
-       {TokenizerArm::kScalar, TokenizerArm::kSwar, TokenizerArm::kSse2,
-        TokenizerArm::kAvx2}) {
-    if (TokenizerArmAvailable(arm)) arms.push_back(arm);
-  }
+  std::vector<TokenizerArm> arms = {TokenizerArm::kSwar};
+  if (Sse2Available()) arms.push_back(TokenizerArm::kSse2);
   return arms;
-}
-
-TokenizerArm ResolveTokenizerArmFromEnv() {
-  TokenizerArm arm = BestAvailableArm();
-  if (const char* env = std::getenv("AV_SIMD")) {
-    TokenizerArm requested;
-    if (!ParseTokenizerArm(env, &requested)) {
-      std::fprintf(stderr,
-                   "AV_SIMD=%s: unknown arm (want scalar|swar|sse2|avx2); "
-                   "using %s\n",
-                   env, TokenizerArmName(arm));
-    } else if (!TokenizerArmAvailable(requested)) {
-      std::fprintf(stderr, "AV_SIMD=%s: arm unavailable on this %s; using %s\n",
-                   env,
-                   ArmCompiledIn(requested) ? "CPU" : "build",
-                   TokenizerArmName(arm));
-    } else {
-      arm = requested;
-    }
-  }
-  return arm;
 }
 
 const TokenizerKernels* detail::ResolveActiveKernels() {
   // First call (or a racing pair of first calls — both compute the same
   // table, the store is idempotent).
-  const TokenizerKernels* k =
-      &kKernelTables[static_cast<size_t>(ResolveTokenizerArmFromEnv())];
+  const TokenizerArm arm =
+      Sse2Available() ? TokenizerArm::kSse2 : TokenizerArm::kSwar;
+  const TokenizerKernels* k = &kKernelTables[static_cast<size_t>(arm)];
   detail::g_active_kernels.store(k, std::memory_order_relaxed);
   return k;
 }
@@ -221,7 +140,7 @@ const TokenizerKernels* detail::ResolveActiveKernels() {
 TokenizerArm TokenizerDispatch() { return ActiveTokenizerKernels().arm; }
 
 bool SetTokenizerArm(TokenizerArm arm) {
-  if (!TokenizerArmAvailable(arm)) return false;
+  if (!ArmAvailable(arm)) return false;
   detail::g_active_kernels.store(&kKernelTables[static_cast<size_t>(arm)],
                                  std::memory_order_relaxed);
   return true;

@@ -1,52 +1,41 @@
 // Runtime-dispatched block-classification kernels under the tokenizer.
 //
 // The run scanner in pattern/token.cc is a serial dependency chain: each
-// step's length decides where the next step starts. The kernels here break
-// that chain by classifying whole 16/32-byte blocks at once — a pshufb
-// nibble lookup turns each block into three bitmasks (digit / letter /
-// non-ASCII, one bit per byte, the same bit vocabulary as TokenClassTable)
-// and run boundaries fall out of mask bit-scans (countr_one / countr_zero /
+// step's length decides where the next step starts. A block kernel breaks
+// that chain by classifying a whole block at once — a pshufb nibble lookup
+// turns each block into three bitmasks (digit / letter / non-ASCII, one
+// bit per byte, the same bit vocabulary as TokenClassTable) and run
+// boundaries fall out of mask bit-scans (countr_one / countr_zero /
 // popcount) instead of per-byte or per-word probes. The same primitive
 // serves the IncrementalCsvParser's delimiter/quote/newline scan
 // (FindAnyOf4Fn), so the pattern layer and the lake readers ride one
 // kernel set.
 //
-// Dispatch contract: kernels are resolved ONCE (CPUID + the AV_SIMD env
-// override) into a function-pointer table; every arm — scalar, SWAR, SSE2
-// (SSSE3 pshufb), AVX2 — produces byte-identical token streams and CSV
+// Dispatch contract: the kernel table is resolved ONCE per process, from
+// CPUID alone, and every arm produces byte-identical token streams and CSV
 // rows (property-tested across arms in token_test.cc / corpus_test.cc and
-// cross-checked by fuzz_tokenizer). The SIMD arms live in their own
-// translation units compiled with per-file -mssse3 / -mavx2 flags, never
-// global -march, so the portable build and non-x86 targets are unchanged:
-// without AV_SIMD (or off x86) only the scalar and SWAR arms exist and the
-// resolver picks SWAR exactly as before this layer existed.
-//
-// Naming note: the "sse2" arm actually requires SSSE3 (pshufb is the whole
-// point); the arm keeps the family name used by the AV_SIMD contract and
-// gates on the SSSE3 CPUID bit.
+// cross-checked by fuzz_tokenizer). Which arms exist, and which CPU
+// feature each needs, is decided in token_simd.cc and CMakeLists.txt only:
+// a kernel lives in its own translation unit compiled with a per-file -m
+// flag, never global -march, so a portable build or a non-x86 target runs
+// the portable word-at-a-time scanner and nothing else.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 namespace av::simd {
 
 /// One tokenizer implementation arm, orderable by preference.
 enum class TokenizerArm : uint8_t {
-  kScalar = 0,  ///< per-byte compare chain, no word tricks (the reference)
-  kSwar = 1,    ///< 64-bit word-at-a-time (portable default)
-  kSse2 = 2,    ///< 16-byte pshufb blocks (requires SSSE3)
-  kAvx2 = 3,    ///< 32-byte pshufb blocks (requires AVX2)
+  kSwar = 0,  ///< 64-bit word-at-a-time scanner (portable)
+  kSse2 = 1,  ///< 16-byte pshufb blocks (requires SSSE3)
 };
 
+/// "swar" / "sse2": the name perf records and test messages carry.
 const char* TokenizerArmName(TokenizerArm arm);
-
-/// Parses "scalar" / "swar" / "sse2" / "avx2" (the AV_SIMD vocabulary).
-/// Returns false on anything else.
-bool ParseTokenizerArm(std::string_view name, TokenizerArm* out);
 
 /// Class masks for a block of up to 64 bytes: bit i describes byte i.
 /// digit/letter mirror TokenClassTable::kDigit/kLetter; nonascii is the
@@ -69,10 +58,10 @@ using FindAnyOf4Fn = size_t (*)(const char* p, size_t n,
 /// The resolved kernel table for one arm.
 struct TokenizerKernels {
   TokenizerArm arm = TokenizerArm::kSwar;
-  /// Block classifier; null on the scalar/SWAR arms (the portable run
-  /// scanner in token.cc is used instead of the mask-driven one).
+  /// Block classifier; null on the SWAR arm (the portable run scanner in
+  /// token.cc is used instead of the mask-driven one).
   BlockClassifyFn classify = nullptr;
-  /// Multi-needle byte search; never null (SWAR/scalar fallbacks exist).
+  /// Multi-needle byte search; never null.
   FindAnyOf4Fn find_any4 = nullptr;
 };
 
@@ -81,13 +70,13 @@ namespace detail {
 /// ActiveTokenizerKernels can inline its fast path into the tokenizer's
 /// per-value entry points; treat as private.
 extern std::atomic<const TokenizerKernels*> g_active_kernels;
-/// Slow path: resolve from CPUID + AV_SIMD, publish, return the table.
+/// Slow path: resolve from CPUID, publish, return the table.
 const TokenizerKernels* ResolveActiveKernels();
 }  // namespace detail
 
-/// The active kernel table. First call resolves from CPUID and the AV_SIMD
-/// environment override; later calls are one relaxed atomic load (inlined
-/// — tokenizer entry points pay a load and a branch, not a function call).
+/// The active kernel table. First call resolves from CPUID; later calls
+/// are one relaxed atomic load (inlined — tokenizer entry points pay a
+/// load and a branch, not a function call).
 inline const TokenizerKernels& ActiveTokenizerKernels() {
   const TokenizerKernels* k =
       detail::g_active_kernels.load(std::memory_order_relaxed);
@@ -98,26 +87,20 @@ inline const TokenizerKernels& ActiveTokenizerKernels() {
 /// The active arm (convenience over ActiveTokenizerKernels().arm).
 TokenizerArm TokenizerDispatch();
 
-/// True when `arm` is compiled into this binary AND the CPU supports it.
-/// Scalar and SWAR are always available.
-bool TokenizerArmAvailable(TokenizerArm arm);
-
-/// All available arms, in preference order (scalar first, best last).
+/// The arms this binary compiled AND this CPU supports, in preference
+/// order (SWAR first, the resolver's pick last).
 std::vector<TokenizerArm> AvailableTokenizerArms();
 
-/// Forces the active arm (tests and benches). Returns false — leaving the
-/// active arm unchanged — when `arm` is unavailable. Not thread-safe
-/// against concurrent tokenization: callers own the quiescence.
+/// Forces the active arm (the test and bench seam). Returns false —
+/// leaving the active arm unchanged — when `arm` is unavailable. Not
+/// thread-safe against concurrent tokenization: callers own the
+/// quiescence, and restore the arm they saved when done.
 bool SetTokenizerArm(TokenizerArm arm);
 
-/// What the resolver would pick right now from CPUID + AV_SIMD, ignoring
-/// any SetTokenizerArm override. Lets tests pin env handling regardless of
-/// the order earlier tests toggled arms in.
-TokenizerArm ResolveTokenizerArmFromEnv();
-
 /// Reference kernels (always built, no special flags): the per-byte
-/// TokenClassTable walk the SIMD kernels are property-tested against, and
-/// the scalar arm's find_any4.
+/// TokenClassTable walk the block kernels are property-tested against, and
+/// the per-byte find_any4 the word and block kernels finish their tails
+/// with.
 void BlockClassifyScalar(const char* p, size_t n, BlockMasks* out);
 size_t FindAnyOf4Scalar(const char* p, size_t n, const unsigned char set[4]);
 

@@ -100,15 +100,11 @@ inline bool IsAsciiAlnum(unsigned char c) {
 /// Word-at-a-time extension of an alphanumeric run that already survived 8
 /// scalar bytes: 8 bytes classified per step with two SWAR range tests,
 /// digit/letter presence folded in bulk; the scalar tail covers the last
-/// < 8 bytes, non-ASCII boundaries, big-endian targets and the forced
-/// scalar arm (UseWords=false). Also correct when the run ends
-/// immediately at `j` (returns `j` unchanged). UseWords is a template
-/// parameter so the scalar arm's instantiation carries no dead word loop
-/// and the SWAR arm's carries no per-iteration flag test.
-template <bool UseWords>
+/// < 8 bytes, non-ASCII boundaries and big-endian targets. Also correct
+/// when the run ends immediately at `j` (returns `j` unchanged).
 size_t SwarExtendAlnum(const char* p, size_t n, size_t j, bool* has_digit,
                        bool* has_letter) {
-  if constexpr (UseWords && kLittleEndian) {
+  if constexpr (kLittleEndian) {
     while (j + 8 <= n) {
       const uint64_t w = LoadWord(p + j);
       if (w & kSwarHighs) break;  // non-ASCII ahead: the tail ends the run
@@ -144,7 +140,6 @@ size_t SwarExtendAlnum(const char* p, size_t n, size_t j, bool* has_digit,
   return j;
 }
 
-template <bool UseWords>
 inline AlnumRun ScanAlnumRun(const char* p, size_t n, size_t i, uint8_t acc) {
   // Scalar prefix: runs up to 8 characters total (IP octets, date/time
   // fields, version numbers, short words — the overwhelming majority in
@@ -165,7 +160,7 @@ inline AlnumRun ScanAlnumRun(const char* p, size_t n, size_t i, uint8_t acc) {
   if (i < n) {
     bool has_digit = (acc & TokenClassTable::kDigit) != 0;
     bool has_letter = (acc & TokenClassTable::kLetter) != 0;
-    i = SwarExtendAlnum<UseWords>(p, n, i, &has_digit, &has_letter);
+    i = SwarExtendAlnum(p, n, i, &has_digit, &has_letter);
     acc = (has_digit ? TokenClassTable::kDigit : 0) |
           (has_letter ? TokenClassTable::kLetter : 0);
   }
@@ -175,9 +170,8 @@ inline AlnumRun ScanAlnumRun(const char* p, size_t n, size_t i, uint8_t acc) {
 /// Extends a non-ASCII (>= 0x80) run starting at `i`; returns one past its
 /// last byte. Word-at-a-time: a word of 8 non-ASCII bytes has every high
 /// bit set.
-template <bool UseWords>
 inline size_t ScanOtherRun(const char* p, size_t n, size_t i) {
-  if constexpr (UseWords && kLittleEndian) {
+  if constexpr (kLittleEndian) {
     while (i + 8 <= n) {
       const uint64_t ascii = ~LoadWord(p + i) & kSwarHighs;
       if (ascii == 0) {
@@ -191,10 +185,10 @@ inline size_t ScanOtherRun(const char* p, size_t n, size_t i) {
   return i;
 }
 
-/// The portable single-pass run scanner (scalar and SWAR arms);
-/// `emit(cls, begin, len)` receives each token. Templated so the
-/// counting-only walk compiles to a loop with no token materialization.
-template <bool UseWords, typename Emit>
+/// The portable single-pass run scanner (SWAR arm, and values too short
+/// for a block); `emit(cls, begin, len)` receives each token. Templated so
+/// the counting-only walk compiles to a loop with no token materialization.
+template <typename Emit>
 inline void ScanTokens(std::string_view value, const Emit& emit) {
   const char* p = value.data();
   const size_t n = value.size();
@@ -203,16 +197,16 @@ inline void ScanTokens(std::string_view value, const Emit& emit) {
     const unsigned char c = static_cast<unsigned char>(p[i]);
     if (IsAsciiDigit(c)) {
       const AlnumRun run =
-          ScanAlnumRun<UseWords>(p, n, i + 1, TokenClassTable::kDigit);
+          ScanAlnumRun(p, n, i + 1, TokenClassTable::kDigit);
       emit(ChunkClass(run.acc), i, run.end - i);
       i = run.end;
     } else if (IsAsciiLetter(c)) {
       const AlnumRun run =
-          ScanAlnumRun<UseWords>(p, n, i + 1, TokenClassTable::kLetter);
+          ScanAlnumRun(p, n, i + 1, TokenClassTable::kLetter);
       emit(ChunkClass(run.acc), i, run.end - i);
       i = run.end;
     } else if (c >= 0x80) {
-      const size_t end = ScanOtherRun<UseWords>(p, n, i + 1);
+      const size_t end = ScanOtherRun(p, n, i + 1);
       emit(TokenClass::kOther, i, end - i);
       i = end;
     } else {
@@ -227,7 +221,7 @@ inline void ScanTokens(std::string_view value, const Emit& emit) {
 /// a single 16-byte load's worth of bytes.
 constexpr size_t kMaskedMinBytes = 16;
 
-/// The mask-driven run scanner (SSE2/AVX2 arms). The kernel classifies
+/// The mask-driven run scanner (block-kernel arm). The kernel classifies
 /// 64-byte windows into digit/letter/non-ASCII bitmasks; runs are then
 /// extracted with countr_one bit-scans — no per-byte work at all on the
 /// scan side. Token boundaries are exactly those of ScanTokens: the masks
@@ -348,10 +342,8 @@ namespace {
 /// The flat portable loop — the shape of the original scanner, which the
 /// compiler turns into tight code — with the SWAR word path engaging only
 /// when a run survives 8 scalar bytes, so short runs cost exactly what
-/// they always did. UseWords is compile-time and the instantiations are
-/// force-inlined into TokenizeAppend: the SWAR path is
+/// they always did. Force-inlined into TokenizeAppend: the SWAR path is
 /// instruction-for-instruction the pre-dispatch scanner, one frame deep.
-template <bool UseWords>
 [[gnu::always_inline]] inline void TokenizeAppendFlat(
     std::string_view value, std::vector<Token>* out) {
   const char* p = value.data();
@@ -363,7 +355,7 @@ template <bool UseWords>
       size_t j = i;
       bool has_digit = false;
       bool has_letter = false;
-      const size_t scalar_end = UseWords ? std::min(n, i + 8) : n;
+      const size_t scalar_end = std::min(n, i + 8);
       while (j < scalar_end &&
              IsAsciiAlnum(static_cast<unsigned char>(p[j]))) {
         if (IsAsciiDigit(static_cast<unsigned char>(p[j]))) {
@@ -373,8 +365,8 @@ template <bool UseWords>
         }
         ++j;
       }
-      if (UseWords && j == i + 8 && j < n) {  // survived 8 bytes: word path
-        j = SwarExtendAlnum<UseWords>(p, n, j, &has_digit, &has_letter);
+      if (j == i + 8 && j < n) {  // survived 8 bytes: word path
+        j = SwarExtendAlnum(p, n, j, &has_digit, &has_letter);
       }
       const TokenClass cls = has_digit && has_letter ? TokenClass::kAlnum
                              : has_digit             ? TokenClass::kDigits
@@ -383,7 +375,7 @@ template <bool UseWords>
                            static_cast<uint32_t>(j - i)});
       i = j;
     } else if (c >= 0x80) {
-      const size_t end = ScanOtherRun<UseWords>(p, n, i + 1);
+      const size_t end = ScanOtherRun(p, n, i + 1);
       out->push_back(Token{TokenClass::kOther, static_cast<uint32_t>(i),
                            static_cast<uint32_t>(end - i)});
       i = end;
@@ -396,7 +388,7 @@ template <bool UseWords>
 
 }  // namespace
 
-// Dispatch: block-kernel arms route long-enough values through the
+// Dispatch: with a block kernel active, long-enough values go through the
 // mask-driven scanner; everything else goes through the flat portable
 // loop. Every arm emits byte-identical token streams (property-tested
 // per arm).
@@ -410,11 +402,7 @@ void TokenizeAppend(std::string_view value, std::vector<Token>* out) {
                      });
     return;
   }
-  if (kern.arm == simd::TokenizerArm::kScalar) {
-    TokenizeAppendFlat<false>(value, out);
-  } else {
-    TokenizeAppendFlat<true>(value, out);
-  }
+  TokenizeAppendFlat(value, out);
 }
 
 size_t TokenCount(std::string_view value) {
@@ -423,12 +411,7 @@ size_t TokenCount(std::string_view value) {
     return TokenCountMasked(value, kern.classify);
   }
   size_t count = 0;
-  const auto count_one = [&count](TokenClass, size_t, size_t) { ++count; };
-  if (kern.arm == simd::TokenizerArm::kScalar) {
-    ScanTokens<false>(value, count_one);
-  } else {
-    ScanTokens<true>(value, count_one);
-  }
+  ScanTokens(value, [&count](TokenClass, size_t, size_t) { ++count; });
   return count;
 }
 

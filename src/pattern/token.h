@@ -13,20 +13,20 @@
 // row's segment happens to be all-digits. The paper's <alphanum> level of the
 // generalization hierarchy covers exactly this case.
 //
-// Implementation: runtime-dispatched (pattern/simd/token_simd.h). On CPUs
-// with SSSE3/AVX2 a block kernel classifies 16/32 bytes at once into
-// digit/letter/non-ASCII bitmasks (pshufb nibble lookup over the
-// TokenClassTable contract) and run boundaries fall out of mask bit-scans;
-// elsewhere — and for values too short to fill a block — a single-pass run
-// scanner steps short runs (up to 8 bytes, the common case in machine
-// data) through a predicted compare chain and switches runs that survive 8
-// bytes to a SWAR word-at-a-time path. The 256-entry TokenClassTable is
-// the canonical byte-classification contract (the property tests' oracle
-// and the bit vocabulary of every kernel), not the hot-path mechanism. The
-// counting-only TokenCount folds each mask window into three popcounts
-// instead of materializing tokens. All dispatch arms produce byte-identical
-// token streams (property-tested per arm in token_test.cc and cross-checked
-// by fuzz/fuzz_tokenizer.cc); AV_SIMD=scalar|swar|sse2|avx2 forces an arm.
+// Implementation: dispatched once per process from CPUID
+// (pattern/simd/token_simd.h). Where a block kernel is available it
+// classifies a whole block at once into digit/letter/non-ASCII bitmasks
+// (pshufb nibble lookup over the TokenClassTable contract) and run
+// boundaries fall out of mask bit-scans; elsewhere — and for values too
+// short to fill a block — a single-pass run scanner steps short runs (up
+// to 8 bytes, the common case in machine data) through a predicted compare
+// chain and switches runs that survive 8 bytes to a SWAR word-at-a-time
+// path. The 256-entry TokenClassTable is the canonical byte-classification
+// contract (the property tests' oracle and the bit vocabulary of every
+// kernel), not the hot-path mechanism. The counting-only TokenCount folds
+// each mask window into three popcounts instead of materializing tokens.
+// All dispatch arms produce byte-identical token streams (property-tested
+// per arm in token_test.cc and cross-checked by fuzz/fuzz_tokenizer.cc).
 #pragma once
 
 #include <cstdint>

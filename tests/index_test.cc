@@ -213,22 +213,11 @@ TEST(PatternIndexDeathTest, MergeFromAbortsOnCollision) {
     idx.Add(name, 0.5);
     return idx;
   };
-  {
-    // Into an empty index: the first merge adopts the source shards
-    // wholesale, the second merges entry by entry.
-    PatternIndex dst;
-    dst.MergeFrom(holding(a));
-    EXPECT_DEATH(dst.MergeFrom(holding(b)), "key collision");
-  }
-  {
-    // Into one with reserved shards: both merges go entry by entry.
-    PatternIndex dst;
-    for (size_t s = 0; s < PatternIndex::kNumShards; ++s) {
-      dst.ReserveShard(s, 4);
-    }
-    dst.MergeFrom(holding(a));
-    EXPECT_DEATH(dst.MergeFrom(holding(b)), "key collision");
-  }
+  // Into an empty index: the first merge adopts the source shards
+  // wholesale, the second merges entry by entry.
+  PatternIndex dst;
+  dst.MergeFrom(holding(a));
+  EXPECT_DEATH(dst.MergeFrom(holding(b)), "key collision");
 }
 
 TEST(PatternIndexDeathTest, AddKeyedSampledCheckAbortsOnCollision) {
@@ -344,6 +333,36 @@ TEST(IndexerTest, ParallelBuildMatchesSerial) {
     ++checked;
   });
   EXPECT_EQ(checked, serial.size());
+}
+
+// The in-memory reduce must not over-size the built index: each shard
+// adopts its first chunk's table and grows only as new keys arrive. Here
+// every 256-column chunk is the same one, so the later chunks add no key,
+// and the built index may hold no more memory than the same index loaded
+// from its file.
+TEST(IndexerTest, BuiltIndexIsNoLargerThanItsLoadedCopy) {
+  const Corpus lake = testutil::SmallLake(300, 5);
+  const std::vector<const Column*> all = lake.AllColumns();
+  ASSERT_GE(all.size(), 256u);
+  Table chunk;
+  chunk.name = "chunk";
+  for (size_t i = 0; i < 256; ++i) chunk.columns.push_back(*all[i]);
+  Corpus repeated;
+  for (int r = 0; r < 4; ++r) repeated.AddTable(chunk);
+  ASSERT_EQ(repeated.num_columns(), 1024u);
+
+  IndexerConfig cfg;
+  cfg.num_threads = 2;
+  cfg.max_values_per_column = 100;  // keeps the 1024-column build quick
+  const PatternIndex built = BuildIndex(repeated, cfg);
+  auto dir = ScopedTempDir::Create();
+  ASSERT_TRUE(dir.ok());
+  const std::string path = dir->File("repeated.avidx");
+  ASSERT_TRUE(built.Save(path).ok());
+  auto loaded = PatternIndex::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_EQ(loaded->size(), built.size());
+  EXPECT_LE(built.ApproxBytes(), loaded->ApproxBytes());
 }
 
 TEST(IndexerTest, ReportCountsColumns) {

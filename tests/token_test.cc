@@ -343,6 +343,7 @@ TEST(ShapeKeyTest, MarkerRangeSymbolsKeepDistinctIdentities) {
 // kernels rot).
 
 TEST(SimdKernelTest, BlockClassifyMatchesScalarOnRandomBlocks) {
+  const simd::TokenizerArm prev = simd::TokenizerDispatch();
   Rng rng(20260808);
   for (int iter = 0; iter < 2000; ++iter) {
     const size_t len = 1 + rng.Below(64);
@@ -360,7 +361,7 @@ TEST(SimdKernelTest, BlockClassifyMatchesScalarOnRandomBlocks) {
           simd::SetTokenizerArm(arm)
               ? simd::ActiveTokenizerKernels().classify
               : nullptr;
-      if (classify == nullptr) continue;  // scalar/SWAR arms: no block kernel
+      if (classify == nullptr) continue;  // SWAR arm: no block kernel
       simd::BlockMasks got;
       classify(block.data(), block.size(), &got);
       EXPECT_EQ(got.digit, want.digit) << simd::TokenizerArmName(arm);
@@ -368,12 +369,13 @@ TEST(SimdKernelTest, BlockClassifyMatchesScalarOnRandomBlocks) {
       EXPECT_EQ(got.nonascii, want.nonascii) << simd::TokenizerArmName(arm);
     }
   }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
+  ASSERT_TRUE(simd::SetTokenizerArm(prev));
 }
 
 TEST(SimdKernelTest, BlockClassifyEveryLengthEveryByteClass) {
   // Exhaustive over (length, homogeneous byte): catches off-by-one tail
   // handling at every block seam.
+  const simd::TokenizerArm prev = simd::TokenizerDispatch();
   for (size_t len = 1; len <= 64; ++len) {
     for (const unsigned char c :
          {'0', '9', 'a', 'z', 'A', 'Z', ' ', '/', '\x7f', '\x80', '\xff'}) {
@@ -396,10 +398,11 @@ TEST(SimdKernelTest, BlockClassifyEveryLengthEveryByteClass) {
       }
     }
   }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
+  ASSERT_TRUE(simd::SetTokenizerArm(prev));
 }
 
 TEST(SimdKernelTest, FindAnyOf4AgreesAcrossArms) {
+  const simd::TokenizerArm prev = simd::TokenizerDispatch();
   Rng rng(777);
   for (int iter = 0; iter < 2000; ++iter) {
     const size_t len = rng.Below(130);
@@ -424,76 +427,51 @@ TEST(SimdKernelTest, FindAnyOf4AgreesAcrossArms) {
           << simd::TokenizerArmName(arm);
     }
   }
-  simd::SetTokenizerArm(simd::ResolveTokenizerArmFromEnv());
+  ASSERT_TRUE(simd::SetTokenizerArm(prev));
 }
 
 // ---------------------------------------------------------------------------
 // Dispatch behavior.
 
-TEST(SimdDispatchTest, ScalarAndSwarAlwaysAvailable) {
-  EXPECT_TRUE(simd::TokenizerArmAvailable(simd::TokenizerArm::kScalar));
-  EXPECT_TRUE(simd::TokenizerArmAvailable(simd::TokenizerArm::kSwar));
+TEST(SimdDispatchTest, SwarAlwaysAvailable) {
   const auto arms = simd::AvailableTokenizerArms();
-  EXPECT_GE(arms.size(), 2u);
+  ASSERT_FALSE(arms.empty());
+  EXPECT_EQ(arms.front(), simd::TokenizerArm::kSwar);
+}
+
+// Every test that forces an arm restores the one it saved, so the active
+// arm here is the resolver's pick: the most preferred arm this build and
+// CPU can run.
+TEST(SimdDispatchTest, ResolverPicksMostPreferredAvailableArm) {
+  EXPECT_EQ(simd::TokenizerDispatch(), simd::AvailableTokenizerArms().back());
 }
 
 TEST(SimdDispatchTest, SetTokenizerArmSwitchesAndReportsUnavailable) {
   const simd::TokenizerArm prev = simd::TokenizerDispatch();
-  for (const simd::TokenizerArm arm : simd::AvailableTokenizerArms()) {
+  const auto arms = simd::AvailableTokenizerArms();
+  for (const simd::TokenizerArm arm : arms) {
     ASSERT_TRUE(simd::SetTokenizerArm(arm));
     EXPECT_EQ(simd::TokenizerDispatch(), arm);
     EXPECT_EQ(simd::ActiveTokenizerKernels().arm, arm);
   }
-  if (!simd::TokenizerArmAvailable(simd::TokenizerArm::kAvx2)) {
+  if (arms.back() != simd::TokenizerArm::kSse2) {
     ASSERT_TRUE(simd::SetTokenizerArm(simd::TokenizerArm::kSwar));
-    EXPECT_FALSE(simd::SetTokenizerArm(simd::TokenizerArm::kAvx2));
+    EXPECT_FALSE(simd::SetTokenizerArm(simd::TokenizerArm::kSse2));
     EXPECT_EQ(simd::TokenizerDispatch(), simd::TokenizerArm::kSwar)
         << "failed SetTokenizerArm must leave the active arm unchanged";
   }
   ASSERT_TRUE(simd::SetTokenizerArm(prev));
 }
 
-TEST(SimdDispatchTest, ParseTokenizerArmVocabulary) {
-  simd::TokenizerArm arm;
-  ASSERT_TRUE(simd::ParseTokenizerArm("scalar", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kScalar);
-  ASSERT_TRUE(simd::ParseTokenizerArm("swar", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kSwar);
-  ASSERT_TRUE(simd::ParseTokenizerArm("sse2", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kSse2);
-  ASSERT_TRUE(simd::ParseTokenizerArm("ssse3", &arm));  // honest alias
-  EXPECT_EQ(arm, simd::TokenizerArm::kSse2);
-  ASSERT_TRUE(simd::ParseTokenizerArm("avx2", &arm));
-  EXPECT_EQ(arm, simd::TokenizerArm::kAvx2);
-  EXPECT_FALSE(simd::ParseTokenizerArm("", &arm));
-  EXPECT_FALSE(simd::ParseTokenizerArm("AVX2", &arm));
-  EXPECT_FALSE(simd::ParseTokenizerArm("sse4", &arm));
-}
-
-// CI's per-arm jobs run the suite as `AV_SIMD=<arm> AV_SIMD_REQUIRE=<arm>`:
-// this test hard-fails the build when the resolver does not deliver the arm
-// the job demanded (e.g. the kernel TU silently fell out of the build and
-// dispatch became unreachable dead code). Without AV_SIMD_REQUIRE it still
-// pins that the env resolver honors AV_SIMD when it names an available arm.
+// CI's sanitize job runs the suite with AV_SIMD_REQUIRE=sse2: this test
+// hard-fails the build when the resolver does not deliver the arm the job
+// demanded (e.g. the kernel TU silently fell out of the build and dispatch
+// became unreachable dead code). Without AV_SIMD_REQUIRE it checks nothing.
 TEST(SimdDispatchTest, RequiredArmIsActive) {
   if (const char* req = std::getenv("AV_SIMD_REQUIRE")) {
-    simd::TokenizerArm want;
-    ASSERT_TRUE(simd::ParseTokenizerArm(req, &want))
-        << "AV_SIMD_REQUIRE=" << req << " is not an arm name";
-    ASSERT_TRUE(simd::TokenizerArmAvailable(want))
+    EXPECT_STREQ(simd::TokenizerArmName(simd::TokenizerDispatch()), req)
         << "AV_SIMD_REQUIRE=" << req
-        << " demanded an arm this build/CPU cannot deliver";
-    EXPECT_EQ(simd::ResolveTokenizerArmFromEnv(), want);
-    return;
-  }
-  const simd::TokenizerArm resolved = simd::ResolveTokenizerArmFromEnv();
-  EXPECT_TRUE(simd::TokenizerArmAvailable(resolved));
-  if (const char* env = std::getenv("AV_SIMD")) {
-    simd::TokenizerArm requested;
-    if (simd::ParseTokenizerArm(env, &requested) &&
-        simd::TokenizerArmAvailable(requested)) {
-      EXPECT_EQ(resolved, requested);
-    }
+        << " demanded an arm this build/CPU did not select";
   }
 }
 
