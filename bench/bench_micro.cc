@@ -568,8 +568,8 @@ struct TableFixture {
 
 /// Whole-table serving: ONE snapshot, one tokenization per column, columns
 /// fanned out over the service pool. Compare against BM_ServiceValidateNLoop
-/// (same tokenize-once path, N independent calls) and
-/// BM_ServiceValidateStreamLoop (the pre-table-API per-row path).
+/// and BM_ServiceValidateStreamLoop (the same accumulator, N independent
+/// calls or sessions).
 void BM_ServiceValidateAll(benchmark::State& state) {
   const auto& fx = TableFixture::Get();
   for (auto _ : state) {
@@ -596,9 +596,9 @@ void BM_ServiceValidateNLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceValidateNLoop);
 
-/// Baseline: the pre-ValidateAll serving path — per-column streaming
-/// sessions tokenizing every row independently (no dedup). On a shared-
-/// values table the tokenize-once paths above beat this by ~distinct/rows.
+/// The same table through per-column streaming sessions (one OpenSession
+/// and one Feed each): sessions share ValidateAll's accumulator, so on this
+/// shared-values table they too tokenize each distinct value once.
 void BM_ServiceValidateStreamLoop(benchmark::State& state) {
   const auto& fx = TableFixture::Get();
   for (auto _ : state) {

@@ -7,7 +7,6 @@
 
 #include "common/durable_file.h"
 #include "common/strings.h"
-#include "pattern/tokenized_column.h"
 
 namespace av {
 
@@ -133,13 +132,7 @@ Result<ValidationReport> ValidationService::Validate(std::string_view name,
   if (rule == nullptr) {
     return Status::NotFound("no rule for column '" + std::string(name) + "'");
   }
-  // Same implementation as ValidateAll's per-column step, so single-column
-  // and table-level reports on the same snapshot are byte-identical. The
-  // adaptive path sniffs the batch's duplication and streams over
-  // all-distinct batches instead of paying the dedup hash map (both arms
-  // produce byte-identical reports; see ValidateColumnAdaptive).
-  return ValidateColumnAdaptive(*rule, values,
-                                options().max_sample_violations);
+  return ValidateColumn(*rule, values, options().max_sample_violations);
 }
 
 TableReport ValidationService::ValidateAll(
@@ -164,11 +157,8 @@ TableReport ValidationService::ValidateAll(
       return;
     }
     out.rule = it->second;
-    // Low-cardinality columns are tokenized once and every check runs over
-    // the prebuilt spans; all-distinct columns stream (the same adaptive
-    // choice — and byte-identical report — as single-column Validate).
-    out.report = ValidateColumnAdaptive(*out.rule, columns[i].values,
-                                        max_samples, &out.stats);
+    out.report = ValidateColumn(*out.rule, columns[i].values, max_samples,
+                                &out.stats);
     out.status = Status::OK();
   });
   table.RecomputeRollups();
@@ -296,7 +286,7 @@ void TableSession::Feed(std::string_view name, ColumnView batch) {
     order_.push_back(it->first);
   }
   if (it->second.has_value()) {
-    it->second->Feed(TokenizedColumn::Build(batch));
+    it->second->Feed(batch);
   }
 }
 

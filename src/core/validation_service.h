@@ -22,9 +22,9 @@
 // Table-level serving: ValidateAll loads ONE snapshot, fans the table's
 // columns out over the service's thread pool, and judges every column
 // against that single store generation (a report never mixes rules from two
-// generations, no matter how writers churn concurrently). Each column is
-// tokenized exactly once (TokenizedColumn) and the per-column reports are
-// byte-identical to single-column Validate calls on the same snapshot.
+// generations, no matter how writers churn concurrently). The per-column
+// reports are byte-identical to single-column Validate calls on the same
+// snapshot.
 #pragma once
 
 #include <atomic>
@@ -190,16 +190,14 @@ class ValidationService {
 
   /// Validates a batch against the stored rule for `name`. Wait-free with
   /// respect to writers; NotFound when no rule is stored for the column.
-  /// Tokenize-once path: the batch's distinct values are tokenized and
-  /// matched exactly once each (sample violations are distinct values).
   Result<ValidationReport> Validate(std::string_view name,
                                     ColumnView values) const;
 
   /// Validates a whole table in one call: loads ONE rule-store snapshot,
-  /// fans the columns out over the service's thread pool, tokenizes each
-  /// column exactly once and judges it by that snapshot's rule. Per-column
-  /// reports are byte-identical to single-column Validate calls against the
-  /// same snapshot; columns without a stored rule get a NotFound outcome.
+  /// fans the columns out over the service's thread pool and judges each
+  /// column by that snapshot's rule (ValidateColumn). Per-column reports
+  /// are byte-identical to single-column Validate calls against the same
+  /// snapshot; columns without a stored rule get a NotFound outcome.
   /// Safe to call from any thread, concurrently with writers.
   TableReport ValidateAll(std::span<const NamedColumn> columns) const;
 
@@ -292,12 +290,10 @@ class ValidationService {
 
 /// Streaming validation of a whole table arriving as micro-batches: one
 /// ValidationSession per column, keyed by name, all pinned to the single
-/// rule-store snapshot captured at OpenTableSession time. Each fed batch
-/// goes through the tokenize-once path (one TokenizedColumn per column per
-/// micro-batch). Finish() runs every column's homogeneity test on its
-/// merged counts and assembles a TableReport whose store_version is the
-/// captured generation. Not thread-safe (one session per table stream);
-/// movable.
+/// rule-store snapshot captured at OpenTableSession time. Finish() runs
+/// every column's homogeneity test on its merged counts and assembles a
+/// TableReport whose store_version is the captured generation. Not
+/// thread-safe (one session per table stream); movable.
 class TableSession {
  public:
   /// Feeds one micro-batch of one column. Columns first seen mid-stream are
@@ -315,9 +311,7 @@ class TableSession {
   uint64_t store_version() const { return snapshot_->version; }
 
   /// Per-column homogeneity tests on the merged counts. The report equals
-  /// ValidateAll on the concatenated batches (counts, p-values, flags;
-  /// sample lists may order differently when violations repeat across
-  /// micro-batches).
+  /// ValidateAll on the concatenated batches.
   TableReport Finish() const;
 
  private:

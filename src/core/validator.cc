@@ -8,6 +8,7 @@
 
 #include "common/strings.h"
 #include "core/stat_tests.h"
+#include "pattern/tokenized_column.h"
 
 namespace av {
 
@@ -219,19 +220,26 @@ std::string ValidationRule::Describe() const {
                    theta_train());
 }
 
+void ValidationStats::AddSample(std::string_view value, size_t max_samples) {
+  if (sample_violations.size() >= max_samples) return;
+  // Linear scan: the list is capped at a handful of entries.
+  for (const std::string& s : sample_violations) {
+    if (s == value) return;
+  }
+  sample_violations.emplace_back(value);
+}
+
 void ValidationStats::MergeFrom(const ValidationStats& other,
                                 size_t max_samples) {
   total += other.total;
   nonconforming += other.nonconforming;
   // Index-based with the source size snapshotted up front: when
-  // `&other == this` (self-merge), push_back may grow the vector we are
-  // reading from, so a range-for over other.sample_violations would be
-  // iterator-invalidation UB and would also observe its own appends. This
-  // loop appends exactly the pre-merge samples (push_back is required to
-  // handle self-insertion), making self-merge behave like merging a copy.
+  // `&other == this` (self-merge), a range-for over other.sample_violations
+  // would be invalidated by any append. Self-merge appends nothing (every
+  // value is already held), so it behaves like merging a copy.
   const size_t n = other.sample_violations.size();
   for (size_t i = 0; i < n && sample_violations.size() < max_samples; ++i) {
-    sample_violations.push_back(other.sample_violations[i]);
+    AddSample(other.sample_violations[i], max_samples);
   }
 }
 
@@ -241,41 +249,6 @@ ValidationStats ValidationStats::Merge(const ValidationStats& a,
   ValidationStats out = a;
   out.MergeFrom(b, max_samples);
   return out;
-}
-
-void AccumulateValidation(PatternMatcher& matcher, ColumnView values,
-                          size_t max_samples, ValidationStats* stats) {
-  for (size_t i = 0; i < values.size(); ++i) {
-    const std::string_view v = values[i];
-    const uint32_t w = values.weight(i);
-    stats->total += w;
-    if (!matcher.Matches(v)) {
-      stats->nonconforming += w;
-      if (stats->sample_violations.size() < max_samples) {
-        stats->sample_violations.emplace_back(v);
-      }
-    }
-  }
-}
-
-void AccumulateValidation(PatternMatcher& matcher,
-                          const TokenizedColumn& column, size_t max_samples,
-                          ValidationStats* stats) {
-  for (size_t i = 0; i < column.num_distinct(); ++i) {
-    const uint32_t w = column.weight(i);
-    stats->total += w;
-    if (!matcher.Matches(column.value(i), column.tokens(i))) {
-      stats->nonconforming += w;
-      if (stats->sample_violations.size() < max_samples) {
-        stats->sample_violations.emplace_back(column.value(i));
-      }
-    }
-  }
-  // Rows whose distinct value overflowed the arena have no token spans;
-  // they conservatively count as non-conforming (matching CountRows).
-  const uint64_t overflow = column.total_rows() - column.admitted_rows();
-  stats->total += overflow;
-  stats->nonconforming += overflow;
 }
 
 ValidationReport FinishValidation(const ValidationRule& rule,
@@ -336,59 +309,51 @@ void ValidationSession::Feed(ColumnView batch) {
   AccumulateValidation(matcher_, batch, max_samples_, &stats_);
 }
 
-void ValidationSession::Feed(const TokenizedColumn& batch) {
-  AccumulateValidation(matcher_, batch, max_samples_, &stats_);
-}
-
 void ValidationSession::Absorb(const ValidationStats& shard) {
   stats_.MergeFrom(shard, max_samples_);
 }
 
 ValidationReport ValidateColumn(const ValidationRule& rule, ColumnView values,
-                                size_t max_samples) {
-  ValidationStats stats;
-  PatternMatcher matcher(rule.pattern);
-  AccumulateValidation(matcher, values, max_samples, &stats);
-  return FinishValidation(rule, stats);
-}
-
-ValidationReport ValidateColumn(const ValidationRule& rule,
-                                const TokenizedColumn& column,
                                 size_t max_samples, ValidationStats* stats) {
   ValidationStats local;
   ValidationStats* s = stats != nullptr ? stats : &local;
   PatternMatcher matcher(rule.pattern);
-  AccumulateValidation(matcher, column, max_samples, s);
+  AccumulateValidation(matcher, values, max_samples, s);
   return FinishValidation(rule, *s);
 }
 
 namespace {
 
-/// Streaming accumulate with the tokenized path's sample semantics: a
-/// violating value equal to an already-sampled one is skipped, so the list
-/// holds the first `max_samples` DISTINCT violating values in first-seen
-/// order — exactly what the TokenizedColumn overload collects. Linear scan
-/// of the sample list is fine: it is capped at a handful of entries.
-void AccumulateValidationDistinctSamples(PatternMatcher& matcher,
-                                         ColumnView values,
-                                         size_t max_samples,
-                                         ValidationStats* stats) {
+/// Row-by-row arm: one tokenization and match per row.
+void AccumulateRows(PatternMatcher& matcher, ColumnView values,
+                    size_t max_samples, ValidationStats* stats) {
   for (size_t i = 0; i < values.size(); ++i) {
     const std::string_view v = values[i];
     const uint32_t w = values.weight(i);
     stats->total += w;
     if (matcher.Matches(v)) continue;
     stats->nonconforming += w;
-    if (stats->sample_violations.size() >= max_samples) continue;
-    bool seen = false;
-    for (const std::string& s : stats->sample_violations) {
-      if (s == v) {
-        seen = true;
-        break;
-      }
-    }
-    if (!seen) stats->sample_violations.emplace_back(v);
+    stats->AddSample(v, max_samples);
   }
+}
+
+/// Tokenize-once arm: drives `matcher` over `column`'s prebuilt token spans,
+/// so each distinct value is tokenized and matched exactly once regardless
+/// of its row count.
+void AccumulateDistinct(PatternMatcher& matcher, const TokenizedColumn& column,
+                        size_t max_samples, ValidationStats* stats) {
+  for (size_t i = 0; i < column.num_distinct(); ++i) {
+    const uint32_t w = column.weight(i);
+    stats->total += w;
+    if (matcher.Matches(column.value(i), column.tokens(i))) continue;
+    stats->nonconforming += w;
+    stats->AddSample(column.value(i), max_samples);
+  }
+  // Rows whose distinct value overflowed the arena have no token spans;
+  // they conservatively count as non-conforming (matching CountRows).
+  const uint64_t overflow = column.total_rows() - column.admitted_rows();
+  stats->total += overflow;
+  stats->nonconforming += overflow;
 }
 
 /// Distinct fraction at or above which the streaming arm wins: the
@@ -446,18 +411,14 @@ double EstimateDistinctRatio(ColumnView values, size_t sample_size) {
   return static_cast<double>(distinct) / static_cast<double>(sample);
 }
 
-ValidationReport ValidateColumnAdaptive(const ValidationRule& rule,
-                                        ColumnView values, size_t max_samples,
-                                        ValidationStats* stats) {
+void AccumulateValidation(PatternMatcher& matcher, ColumnView values,
+                          size_t max_samples, ValidationStats* stats) {
   if (EstimateDistinctRatio(values) >= kStreamingDistinctRatio) {
-    ValidationStats local;
-    ValidationStats* s = stats != nullptr ? stats : &local;
-    PatternMatcher matcher(rule.pattern);
-    AccumulateValidationDistinctSamples(matcher, values, max_samples, s);
-    return FinishValidation(rule, *s);
+    AccumulateRows(matcher, values, max_samples, stats);
+  } else {
+    AccumulateDistinct(matcher, TokenizedColumn::Build(values), max_samples,
+                       stats);
   }
-  return ValidateColumn(rule, TokenizedColumn::Build(values), max_samples,
-                        stats);
 }
 
 }  // namespace av

@@ -9,19 +9,6 @@
 //   session     ValidationSession — accumulates stats batch by batch and
 //               runs the homogeneity test once, at Finish();
 //   one-shot    ValidateColumn — a Feed + Finish over a single batch.
-//
-// Accumulation has two equivalent drivers: the streaming ColumnView path
-// (one tokenization per row, samples in stream order) and the tokenize-once
-// TokenizedColumn path (one tokenization per *distinct* value, samples are
-// distinct violating values in first-seen order). Counts — and therefore
-// theta / p-value / flagged — are identical; only the sample_violations list
-// differs when a violating value repeats. The serving layer
-// (ValidationService::Validate / ValidateAll) routes through
-// ValidateColumnAdaptive, which sniffs batch duplication and picks the
-// cheaper driver while producing byte-identical reports on either arm (the
-// streaming arm dedups its samples), so single-column and whole-table
-// validation share one implementation and produce identical reports;
-// TableSession streams micro-batches through the tokenized path.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +21,6 @@
 #include "core/options.h"
 #include "pattern/matcher.h"
 #include "pattern/pattern.h"
-#include "pattern/tokenized_column.h"
 
 namespace av {
 
@@ -85,8 +71,9 @@ struct ValidationReport {
   double p_value = 1.0;
   /// True when the batch is reported as a data-quality issue.
   bool flagged = false;
-  /// Example non-conforming values (up to the configured cap, default
-  /// AutoValidateOptions::max_sample_violations), for actionable alerts.
+  /// The first distinct non-conforming values in stream order, up to the
+  /// configured cap (default AutoValidateOptions::max_sample_violations),
+  /// for actionable alerts.
   std::vector<std::string> sample_violations;
 };
 
@@ -97,14 +84,20 @@ struct ValidationReport {
 struct ValidationStats {
   uint64_t total = 0;
   uint64_t nonconforming = 0;
-  /// First `max_samples` non-conforming values, in stream order (owned
-  /// copies: stats outlive the borrowed input buffers).
+  /// The first `max_samples` distinct non-conforming values, in stream
+  /// order (owned copies: stats outlive the borrowed input buffers). The
+  /// first K distinct values of a concatenation lie within the first-K
+  /// lists of its parts, so an in-order merge equals one pass.
   std::vector<std::string> sample_violations;
+
+  /// Appends `value` unless the list is full or already holds it. Every
+  /// sample enters the list through here.
+  void AddSample(std::string_view value, size_t max_samples);
 
   /// Folds `other` (the stats of the *later* micro-batch) into this.
   /// Self-merge (`&other == this`) is well-defined and equivalent to
-  /// merging an identical copy: counts double and the sample list is
-  /// appended to itself up to the cap.
+  /// merging an identical copy: counts double and the samples stay the
+  /// same.
   void MergeFrom(const ValidationStats& other, size_t max_samples);
 
   /// Associative two-sided merge.
@@ -113,21 +106,14 @@ struct ValidationStats {
 };
 
 /// Matches one micro-batch against `matcher`'s pattern, accumulating counts
-/// (weighted rows) and sample violations into `stats`. No per-value copies
-/// except the first `max_samples` violations.
+/// (weighted rows) and sample violations into `stats`. A batch that looks
+/// all-distinct (EstimateDistinctRatio) is matched row by row; any other is
+/// tokenized once (TokenizedColumn) and each distinct value matched once.
+/// Both arms give the same stats, except that rows of a batch whose
+/// distinct values overflow the tokenized arena's 32-bit capacity count as
+/// non-conforming.
 void AccumulateValidation(PatternMatcher& matcher, ColumnView values,
                           size_t max_samples, ValidationStats* stats);
-
-/// Tokenize-once equivalent: drives `matcher` over `column`'s prebuilt token
-/// spans, so each distinct value is matched (and was tokenized) exactly once
-/// regardless of its row count. Counts are identical to the ColumnView
-/// overload; sample violations are the first `max_samples` *distinct*
-/// violating values in first-seen order. Rows that overflowed the column's
-/// arena capacity (total_rows() - admitted_rows()) conservatively count as
-/// non-conforming.
-void AccumulateValidation(PatternMatcher& matcher,
-                          const TokenizedColumn& column, size_t max_samples,
-                          ValidationStats* stats);
 
 /// Runs the rule's homogeneity test on accumulated counts and assembles the
 /// report (the Finish step of a streaming validation).
@@ -149,13 +135,9 @@ class ValidationSession {
   explicit ValidationSession(const ValidationRule& rule,
                              size_t max_samples = 5);
 
-  /// Accumulates one micro-batch. No per-value string copies.
+  /// Accumulates one micro-batch (AccumulateValidation). No per-value
+  /// string copies.
   void Feed(ColumnView batch);
-
-  /// Accumulates one micro-batch through the tokenize-once path (each
-  /// distinct value of the batch matched once; see the TokenizedColumn
-  /// AccumulateValidation overload). Counts are identical to Feed.
-  void Feed(const TokenizedColumn& batch);
 
   /// Merges the stats of another shard of the same stream (in shard order).
   void Absorb(const ValidationStats& shard);
@@ -178,16 +160,10 @@ class ValidationSession {
 };
 
 /// Validates `values` against `rule` (matching + distributional test) in one
-/// pass. Equivalent to a single-Feed session.
+/// pass. Equivalent to a single-Feed session. If `stats` is non-null the
+/// accumulated mergeable counts are also written there (the raw state
+/// TableReport::Merge reduces over).
 ValidationReport ValidateColumn(const ValidationRule& rule, ColumnView values,
-                                size_t max_samples = 5);
-
-/// Tokenize-once validation of a prebuilt column: the implementation shared
-/// by the single-column and table-level serving paths (identical reports).
-/// If `stats` is non-null the accumulated mergeable counts are also written
-/// there (the raw state TableReport::Merge reduces over).
-ValidationReport ValidateColumn(const ValidationRule& rule,
-                                const TokenizedColumn& column,
                                 size_t max_samples = 5,
                                 ValidationStats* stats = nullptr);
 
@@ -199,24 +175,6 @@ ValidationReport ValidateColumn(const ValidationRule& rule,
 /// crash or bias the report — the estimate feeds a path choice, not a
 /// count, and the tokenized fallback is always correct.
 double EstimateDistinctRatio(ColumnView values, size_t sample_size = 32);
-
-/// Adaptive equivalent of the tokenized ValidateColumn: sniffs the batch's
-/// duplication (EstimateDistinctRatio) and either builds a TokenizedColumn
-/// (low-cardinality batches, where dedup lets every distinct value be
-/// tokenized and matched once) or streams straight over the rows
-/// (all-distinct batches, where the dedup hash map buys nothing and the
-/// streaming pass is ~2x cheaper). The streaming arm dedups its sample
-/// violations against the collected list, so BOTH arms report the first
-/// `max_samples` *distinct* violating values in first-seen order — the
-/// report is byte-identical whichever path is taken (tested), keeping the
-/// serving layer's Validate == ValidateAll contract independent of the
-/// heuristic. (Only columns whose distinct values overflow the tokenized
-/// arena's 32-bit capacity would differ: there the tokenized path is itself
-/// conservative. The streaming path is exact.)
-ValidationReport ValidateColumnAdaptive(const ValidationRule& rule,
-                                        ColumnView values,
-                                        size_t max_samples = 5,
-                                        ValidationStats* stats = nullptr);
 
 // Helpers of the line formats, shared by ValidationRule::Serialize and the
 // ValidationService rule-set files: '|'-separated fields with '\' escape,

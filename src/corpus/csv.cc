@@ -1,10 +1,7 @@
 #include "corpus/csv.h"
 
 #include <algorithm>
-#include <filesystem>
 
-#include "common/durable_file.h"
-#include "corpus/format.h"
 #include "pattern/simd/token_simd.h"
 
 namespace av {
@@ -228,31 +225,6 @@ std::string WriteCsv(const std::vector<std::vector<std::string>>& rows,
   return out;
 }
 
-Result<Table> TableFromCsv(std::string_view name, std::string_view text,
-                           char sep) {
-  auto rows_or = ParseCsv(text, sep);
-  if (!rows_or.ok()) return rows_or.status();
-  const auto& rows = rows_or.value();
-  if (rows.empty()) {
-    return Status::InvalidArgument("CSV has no header row");
-  }
-  Table table;
-  table.name = std::string(name);
-  const auto& header = rows.front();
-  table.columns.resize(header.size());
-  for (size_t c = 0; c < header.size(); ++c) {
-    table.columns[c].table_name = table.name;
-    table.columns[c].name = header[c];
-    table.columns[c].values.reserve(rows.size() - 1);
-  }
-  for (size_t r = 1; r < rows.size(); ++r) {
-    for (size_t c = 0; c < header.size(); ++c) {
-      table.columns[c].values.push_back(c < rows[r].size() ? rows[r][c] : "");
-    }
-  }
-  return table;
-}
-
 std::string TableToCsv(const Table& table, char sep) {
   std::vector<std::vector<std::string>> rows;
   std::vector<std::string> header;
@@ -268,30 +240,6 @@ std::string TableToCsv(const Table& table, char sep) {
     rows.push_back(std::move(row));
   }
   return WriteCsv(rows, sep);
-}
-
-Result<Corpus> LoadCorpusFromDir(const std::string& dir) {
-  // CSV-only legacy entry point; listing, ordering and the streaming load
-  // all live in the format registry now (corpus/format.h).
-  return LoadLakeFromDir(dir, LakeFormat::kCsv);
-}
-
-Status SaveCorpusToDir(const Corpus& corpus, const std::string& dir) {
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) return Status::IOError("cannot create directory " + dir);
-  for (const Table& t : corpus.tables()) {
-    const std::string path = dir + "/" + t.name + ".csv";
-    // Atomic, error-checked write (the old ofstream path never looked at
-    // the stream state, so a full disk truncated tables silently). CSV is
-    // an interchange format other tools read, so no checksum trailer.
-    DurableFileWriter out;
-    AV_RETURN_NOT_OK(out.Open(path, {.checksum = false, .sync = true}));
-    AV_RETURN_NOT_OK(out.Append(TableToCsv(t)));
-    AV_RETURN_NOT_OK(out.Commit());
-  }
-  return Status::OK();
 }
 
 }  // namespace av

@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "corpus/byte_source.h"
 #include "corpus/column.h"
-#include "corpus/corpus.h"
 
 namespace av {
 
@@ -87,8 +86,7 @@ struct CsvStreamStats {
 };
 
 /// Streams a CSV document out of `src` into a Table (first row = header)
-/// in fixed-size blocks — the raw text is never resident at once. Same
-/// result as TableFromCsv over the full document.
+/// in fixed-size blocks — the raw text is never resident at once.
 Result<Table> TableFromCsvSource(std::string_view name, ByteSource& src,
                                  char sep = ',',
                                  CsvStreamStats* stats = nullptr);
@@ -97,17 +95,7 @@ Result<Table> TableFromCsvSource(std::string_view name, ByteSource& src,
 std::string WriteCsv(const std::vector<std::vector<std::string>>& rows,
                      char sep = ',');
 
-/// Converts a parsed CSV (first row = header) into a Table of string columns.
-Result<Table> TableFromCsv(std::string_view name, std::string_view text,
-                           char sep = ',');
-
 /// Serializes a table to CSV text (header + rows).
 std::string TableToCsv(const Table& table, char sep = ',');
-
-/// Loads every `*.csv` file under `dir` (non-recursive) into a corpus.
-Result<Corpus> LoadCorpusFromDir(const std::string& dir);
-
-/// Writes each table of `corpus` as `<dir>/<table-name>.csv`.
-Status SaveCorpusToDir(const Corpus& corpus, const std::string& dir);
 
 }  // namespace av

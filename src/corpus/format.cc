@@ -42,7 +42,7 @@ Result<Table> LoadCsvFile(const std::string& path,
 
 Status SaveTextFile(const std::string& path, std::string_view bytes) {
   // Atomic, error-checked write; interchange formats other tools read get
-  // no checksum trailer (same policy as SaveCorpusToDir).
+  // no checksum trailer.
   DurableFileWriter out;
   AV_RETURN_NOT_OK(out.Open(path, {.checksum = false, .sync = true}));
   AV_RETURN_NOT_OK(out.Append(bytes));

@@ -124,9 +124,8 @@ class LakeDirColumnReader : public ColumnReader {
   size_t peak_csv_buffered_ = 0;
 };
 
-/// Loads a whole lake directory into memory through the registry (the
-/// mixed-format generalization of LoadCorpusFromDir; identical table and
-/// column order to LakeDirColumnReader).
+/// Loads a whole lake directory into memory through the registry
+/// (identical table and column order to LakeDirColumnReader).
 Result<Corpus> LoadLakeFromDir(const std::string& dir,
                                LakeFormat format = LakeFormat::kAuto);
 

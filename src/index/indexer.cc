@@ -101,10 +101,9 @@ IndexerReport MapChunk(const ColumnChunk& chunk, const IndexerConfig& cfg,
   return rep;
 }
 
-/// Merge fan-in for the spill reduce: explicit override, else derived from
-/// the budget at kSpillCursorBytes per open run.
+/// Merge fan-in for the spill reduce, derived from the budget at
+/// kSpillCursorBytes per open run.
 size_t MergeFanin(const IndexBuildOptions& build) {
-  if (build.max_merge_fanin > 0) return std::max<size_t>(2, build.max_merge_fanin);
   return std::max<size_t>(2, build.memory_budget_bytes / kSpillCursorBytes);
 }
 

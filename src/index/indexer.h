@@ -42,10 +42,6 @@ struct IndexBuildOptions {
   /// std::filesystem::temp_directory_path(). The run directory is removed
   /// when the build finishes — including on every error path.
   std::string spill_dir;
-  /// Maximum spill runs merged per pass (0 = derived from the budget).
-  /// Exceeding it triggers left-cascaded intermediate merge passes (fold
-  /// the first k runs, repeat), which preserve byte-identity.
-  size_t max_merge_fanin = 0;
   /// When the out-of-core path fails (unwritable spill directory, disk
   /// full, corrupt run), TryBuildIndex falls back to the in-memory build by
   /// default — the lake fit in memory to get here — recording the fallback

@@ -47,6 +47,15 @@ void PutTableReport(WireWriter* w, const TableReport& table) {
   }
 }
 
+/// Feeds the verdict of every column that has a rule to the lifecycle's
+/// violation counter.
+void RecordOutcomes(RuleLifecycle* lifecycle, const TableReport& table) {
+  if (lifecycle == nullptr) return;
+  for (const TableReport::ColumnOutcome& col : table.columns) {
+    if (col.status.ok()) lifecycle->RecordOutcome(col.name, col.report.flagged);
+  }
+}
+
 }  // namespace
 
 Server::Server(ValidationService* service, ServerConfig cfg,
@@ -495,9 +504,9 @@ std::string Server::HandleValidate(WireReader& r) {
     return ErrorReply(
         Status::NotFound("no rule for column '" + name + "'"));
   }
-  const ValidationReport report = ValidateColumnAdaptive(
-      *it->second, ColumnView(values),
-      service_->options().max_sample_violations);
+  const ValidationReport report =
+      ValidateColumn(*it->second, ColumnView(values),
+                     service_->options().max_sample_violations);
   if (lifecycle_ != nullptr) lifecycle_->RecordOutcome(name, report.flagged);
   WireWriter w;
   w.PutU64(snapshot->version);
@@ -531,11 +540,7 @@ std::string Server::HandleValidateTable(WireReader& r) {
   }
   // ValidateAll loads ONE snapshot and judges every column by it.
   const TableReport table = service_->ValidateAll(named);
-  if (lifecycle_ != nullptr) {
-    for (const auto& col : table.columns) {
-      if (col.status.ok()) lifecycle_->RecordOutcome(col.name, col.report.flagged);
-    }
-  }
+  RecordOutcomes(lifecycle_, table);
   WireWriter w;
   PutTableReport(&w, table);
   return OkReply(w.Take());
@@ -648,6 +653,7 @@ std::string Server::HandleSessionFinish(Conn* conn, WireReader& r) {
   if (const auto it = conn->table_sessions.find(id);
       it != conn->table_sessions.end()) {
     const TableReport table = it->second.session.Finish();
+    RecordOutcomes(lifecycle_, table);
     WireWriter w;
     PutTableReport(&w, table);
     conn->table_sessions.erase(it);

@@ -3,7 +3,6 @@
 // index, and the determinism of the chunked/sharded BuildIndex.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <fstream>
 
 #include "common/hash.h"
@@ -196,9 +195,8 @@ TEST(PatternIndexTest, SaveLoadRoundTripPreservesKeyedLookups) {
   const PatternIndex idx = BuildIndex(corpus, cfg);
   ASSERT_GT(idx.size(), 0u);
 
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "av_batch_roundtrip.bin")
-          .string();
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string path = dir.File("roundtrip.bin");
   ASSERT_TRUE(idx.Save(path).ok());
   auto loaded = PatternIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -218,14 +216,13 @@ TEST(PatternIndexTest, SaveLoadRoundTripPreservesKeyedLookups) {
     ++checked;
   });
   EXPECT_EQ(checked, idx.size());
-  std::filesystem::remove(path);
 }
 
 TEST(PatternIndexTest, LoadRejectsHugeEntryCount) {
   // A corrupt header with an absurd n must fail cleanly (clamped by file
   // size) instead of reserving unbounded memory.
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "av_huge_count.bin").string();
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string path = dir.File("huge_count.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out.write("AVIDX002", 8);
@@ -235,19 +232,18 @@ TEST(PatternIndexTest, LoadRejectsHugeEntryCount) {
   auto loaded = PatternIndex::Load(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::filesystem::remove(path);
 }
 
 TEST(IndexerTest, BuildIndexIsByteIdenticalAcrossThreadCounts) {
   const Corpus corpus = testutil::SmallLake(150, 21);
-  const auto tmp = std::filesystem::temp_directory_path();
+  const ScopedTempDir dir = testutil::MakeTempDir();
   std::vector<std::string> files;
   for (size_t threads : {size_t{1}, size_t{3}, size_t{8}}) {
     IndexerConfig cfg;
     cfg.num_threads = threads;
     const PatternIndex idx = BuildIndex(corpus, cfg);
     const std::string path =
-        (tmp / ("av_det_" + std::to_string(threads) + ".bin")).string();
+        dir.File("det_" + std::to_string(threads) + ".bin");
     ASSERT_TRUE(idx.Save(path).ok());
     files.push_back(path);
   }
@@ -257,7 +253,6 @@ TEST(IndexerTest, BuildIndexIsByteIdenticalAcrossThreadCounts) {
     EXPECT_EQ(ReadFileBytes(files[i]), reference)
         << "index bytes differ between 1 thread and " << files[i];
   }
-  for (const auto& f : files) std::filesystem::remove(f);
 }
 
 }  // namespace

@@ -34,15 +34,9 @@
 #include "pattern/pattern.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "tests/test_util.h"
 
-#if defined(__SANITIZE_THREAD__)
-#define AV_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define AV_TSAN 1
-#endif
-#endif
-#ifndef AV_TSAN
+#ifndef AV_TSAN  // test_util.h defines it as 1 under ThreadSanitizer
 #define AV_TSAN 0
 #endif
 
@@ -54,11 +48,7 @@ namespace fs = std::filesystem;
 constexpr int kRounds = 50;         // SIGKILLs per scenario (acceptance: 50)
 constexpr int kChildIterations = 400;
 
-ScopedTempDir MakeTempDir() {
-  auto dir = ScopedTempDir::Create();
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).value();
-}
+using testutil::MakeTempDir;
 
 /// Deterministic replay for the stochastic rounds. Each round runs its own
 /// Rng seeded from the scenario base via SplitMix64, and the seed is logged
@@ -288,19 +278,23 @@ TEST(ChaosTest, KilledServerRestartsWithoutMixedGenerations) {
       cfg.rules_path = rules;
       net::Server server(&service, cfg);
       if (!server.Start().ok()) _exit(4);
-      {
-        std::ofstream out(port_tmp);
-        out << server.port();
-      }
-      if (std::rename(port_tmp.c_str(), port_file.c_str()) != 0) _exit(5);
-      for (uint64_t g = 1;; ++g) {
+      const auto install = [&](uint64_t g) {
         std::vector<ValidationService::RuleUpdate> batch;
         for (const char* name : kServeColumns) {
           batch.push_back({name, WidthRule(g % 2 == 1 ? 3 : 6), RuleMeta{}});
         }
         service.UpsertBatch(std::move(batch));
         if (!service.Save(rules).ok()) _exit(2);
+      };
+      // One generation is durable before the port is published, so a kill
+      // at any later point leaves a rules file behind (round 0 included).
+      install(1);
+      {
+        std::ofstream out(port_tmp);
+        out << server.port();
       }
+      if (std::rename(port_tmp.c_str(), port_file.c_str()) != 0) _exit(5);
+      for (uint64_t g = 2;; ++g) install(g);
     }
 
     // Parent: wait for the child to publish its port, connect, probe.

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 
 #include "common/rng.h"
 #include "corpus/csv.h"
+#include "corpus/format.h"
 #include "corpus/inverted_index.h"
 #include "pattern/simd/token_simd.h"
+#include "tests/test_util.h"
 
 namespace av {
 namespace {
@@ -92,7 +93,9 @@ TEST(CsvTest, RoundTrip) {
 
 TEST(CsvTest, TableRoundTrip) {
   const Table t = SmallTable();
-  auto back = TableFromCsv(t.name, TableToCsv(t));
+  const std::string csv = TableToCsv(t);
+  StringByteSource src(csv);
+  auto back = TableFromCsvSource(t.name, src);
   ASSERT_TRUE(back.ok());
   ASSERT_EQ(back->columns.size(), 2u);
   EXPECT_EQ(back->columns[0].name, "id");
@@ -102,20 +105,17 @@ TEST(CsvTest, TableRoundTrip) {
 TEST(CsvTest, CorpusDirRoundTrip) {
   Corpus corpus;
   corpus.AddTable(SmallTable());
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / "av_csv_test").string();
-  std::filesystem::remove_all(dir);
-  ASSERT_TRUE(SaveCorpusToDir(corpus, dir).ok());
-  auto loaded = LoadCorpusFromDir(dir);
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  ASSERT_TRUE(SaveLakeToDir(corpus, dir.path(), LakeFormat::kCsv).ok());
+  auto loaded = LoadLakeFromDir(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(loaded.ok());
   ASSERT_EQ(loaded->num_tables(), 1u);
   EXPECT_EQ(loaded->tables()[0].columns[1].values,
             SmallTable().columns[1].values);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(CsvTest, LoadMissingDirFails) {
-  auto loaded = LoadCorpusFromDir("/nonexistent/av/dir");
+  auto loaded = LoadLakeFromDir("/nonexistent/av/dir", LakeFormat::kCsv);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
 }

@@ -30,6 +30,7 @@
 #include "index/pattern_index.h"
 #include "index/spill.h"
 #include "pattern/pattern.h"
+#include "tests/test_util.h"
 
 namespace av {
 namespace {
@@ -44,11 +45,7 @@ using crashmc::TargetSpec;
 
 namespace fs = std::filesystem;
 
-ScopedTempDir MakeTempDir() {
-  auto dir = ScopedTempDir::Create();
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).value();
-}
+using testutil::MakeTempDir;
 
 /// CI bounded-state budget: AV_CRASHMC_BUDGET overrides the default cap.
 size_t StateBudget() {
@@ -219,7 +216,8 @@ TEST(CrashModelTest, CorpusCsvSaveSurvivesEveryCrashState) {
   {
     ScopedFileOps scoped(&recorder);
     for (int round = 0; round < 2; ++round) {
-      ASSERT_TRUE(SaveCorpusToDir(make_corpus(round), dir.path()).ok());
+      ASSERT_TRUE(
+          SaveLakeToDir(make_corpus(round), dir.path(), LakeFormat::kCsv).ok());
       for (TargetSpec* spec : {&alpha, &beta}) {
         spec->commit_points.push_back(recorder.op_count());
         auto bytes = ReadFileToString(dir.File(spec->path));

@@ -17,17 +17,14 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
+#include "tests/test_util.h"
 
 namespace av {
 namespace {
 
 namespace fs = std::filesystem;
 
-ScopedTempDir MakeTempDir() {
-  auto dir = ScopedTempDir::Create();
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).value();
-}
+using testutil::MakeTempDir;
 
 /// Number of leftover `.avtmp` temp files under `dir` (must be zero after
 /// any clean Commit/Abandon — only a SIGKILL may strand one).

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -60,8 +59,8 @@ TEST(PatternIndexTest, SaveLoadRoundTrip) {
   idx.Add("Mar <digit>{2} <digit>{4}", 0.25);
   idx.Add("<letter>+", 0.0);
   idx.Add("<letter>+", 1.0);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "av_index_test.bin").string();
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string path = dir.File("index.bin");
   ASSERT_TRUE(idx.Save(path).ok());
   auto loaded = PatternIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -70,13 +69,11 @@ TEST(PatternIndexTest, SaveLoadRoundTrip) {
   ASSERT_TRUE(e.has_value());
   EXPECT_EQ(e->coverage, 2u);
   EXPECT_DOUBLE_EQ(e->fpr, 0.5);
-  std::filesystem::remove(path);
 }
 
 TEST(PatternIndexTest, LoadRejectsGarbage) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "av_index_garbage.bin")
-          .string();
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string path = dir.File("garbage.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out << "not an index";
@@ -84,7 +81,6 @@ TEST(PatternIndexTest, LoadRejectsGarbage) {
   auto loaded = PatternIndex::Load(path);
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::filesystem::remove(path);
 }
 
 /// Two 1024-byte strings with one PolyHash64: the Thue-Morse word over
@@ -251,12 +247,11 @@ TEST(IndexerTest, SavedIndexBytesMatchGolden) {
     size_t threads;
     size_t size;
     uint64_t hash;
-    size_t memory_budget = 0;   ///< >0: out-of-core spill build
-    size_t merge_fanin = 0;     ///< >0: force cascaded merge passes
+    size_t memory_budget = 0;  ///< >0: out-of-core spill build
   };
   // The budgeted cases must reproduce the exact bytes of the unbounded
-  // cases above them: the spill reduce (and its left-cascade merge) is
-  // byte-identical to the in-memory shard reduce by contract.
+  // cases above them: the spill reduce is byte-identical to the in-memory
+  // shard reduce by contract.
   const GoldenCase cases[] = {
       {EnterpriseLakeConfig(60, 7), 1, 4010044, 0x26c4d420d40eb4a0ULL},
       {EnterpriseLakeConfig(60, 7), 4, 4010044, 0x26c4d420d40eb4a0ULL},
@@ -264,25 +259,22 @@ TEST(IndexerTest, SavedIndexBytesMatchGolden) {
       {EnterpriseLakeConfig(60, 7), 4, 4010044, 0x26c4d420d40eb4a0ULL,
        /*memory_budget=*/1u << 20},
       {GovernmentLakeConfig(40, 11), 2, 4062244, 0x345aea5c2adb9c10ULL,
-       /*memory_budget=*/1u << 20, /*merge_fanin=*/2},
+       /*memory_budget=*/1u << 20},
   };
+  const ScopedTempDir dir = testutil::MakeTempDir();
   for (const GoldenCase& c : cases) {
     const Corpus corpus = GenerateLake(c.lake);
     IndexerConfig cfg;
     cfg.num_threads = c.threads;
     cfg.build.memory_budget_bytes = c.memory_budget;
-    cfg.build.max_merge_fanin = c.merge_fanin;
     const PatternIndex idx = BuildIndex(corpus, cfg);
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "av_index_golden.bin")
-            .string();
+    const std::string path = dir.File("golden.bin");
     ASSERT_TRUE(idx.Save(path).ok());
     auto file = ReadFileToString(path);
     ASSERT_TRUE(file.ok());
     auto payload_len = VerifyTrailer(*file);
     ASSERT_TRUE(payload_len.ok()) << payload_len.status().message();
     const std::string_view payload(file->data(), *payload_len);
-    std::filesystem::remove(path);
     EXPECT_EQ(payload.size(), c.size);
     EXPECT_EQ(PolyHash64(payload), c.hash);
   }

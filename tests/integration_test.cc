@@ -3,7 +3,6 @@
 // scale (the shape assertions of EXPERIMENTS.md in miniature).
 #include <gtest/gtest.h>
 
-#include <filesystem>
 
 #include "baselines/dictionary.h"
 #include "baselines/potters_wheel.h"
@@ -117,9 +116,8 @@ TEST_F(IntegrationTest, GroundTruthModeImprovesBothAxes) {
 }
 
 TEST_F(IntegrationTest, IndexRoundTripPreservesDecisions) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "av_integ_index.bin")
-          .string();
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string path = dir.File("index.bin");
   ASSERT_TRUE(index_->Save(path).ok());
   auto loaded = PatternIndex::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -134,7 +132,6 @@ TEST_F(IntegrationTest, IndexRoundTripPreservesDecisions) {
       EXPECT_EQ(r1->pattern.ToString(), r2->pattern.ToString()) << c.name;
     }
   }
-  std::filesystem::remove(path);
 }
 
 TEST_F(IntegrationTest, RecurringPipelineScenario) {

@@ -20,21 +20,18 @@
 #include "common/temp_file.h"
 #include "core/validation_service.h"
 #include "corpus/corpus.h"
-#include "corpus/csv.h"
+#include "corpus/format.h"
 #include "index/pattern_index.h"
 #include "index/spill.h"
 #include "pattern/pattern.h"
+#include "tests/test_util.h"
 
 namespace av {
 namespace {
 
 namespace fs = std::filesystem;
 
-ScopedTempDir MakeTempDir() {
-  auto dir = ScopedTempDir::Create();
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).value();
-}
+using testutil::MakeTempDir;
 
 std::string Slurp(const std::string& path) {
   auto bytes = ReadFileToString(path);
@@ -251,7 +248,7 @@ TEST(PersistenceTest, FailedIndexSaveKeepsPreviousFile) {
 
 // ------------------------------------------------------------ CSV writer
 
-TEST(PersistenceTest, SaveCorpusToDirReportsWriteFailures) {
+TEST(PersistenceTest, CsvLakeSaveReportsWriteFailures) {
   // The old writer streamed through an unchecked ofstream: a failed write
   // (full disk, bad name) produced a silently truncated or missing table.
   // Now the durable writer surfaces it as a Status and leaves no partial
@@ -266,7 +263,7 @@ TEST(PersistenceTest, SaveCorpusToDirReportsWriteFailures) {
   corpus.AddTable(std::move(t));
 
   ScopedTempDir dir = MakeTempDir();
-  const Status st = SaveCorpusToDir(corpus, dir.path());
+  const Status st = SaveLakeToDir(corpus, dir.path(), LakeFormat::kCsv);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
   size_t files = 0;
@@ -276,7 +273,7 @@ TEST(PersistenceTest, SaveCorpusToDirReportsWriteFailures) {
   EXPECT_EQ(files, 0u);  // no torn table, no temp debris
 }
 
-TEST(PersistenceTest, SaveCorpusToDirStillRoundTrips) {
+TEST(PersistenceTest, CsvLakeSaveStillRoundTrips) {
   const std::vector<std::string> values = {"a1", "b2"};
   Corpus corpus;
   Table t;
@@ -287,8 +284,8 @@ TEST(PersistenceTest, SaveCorpusToDirStillRoundTrips) {
   t.columns.push_back(std::move(col));
   corpus.AddTable(std::move(t));
   ScopedTempDir dir = MakeTempDir();
-  ASSERT_TRUE(SaveCorpusToDir(corpus, dir.path()).ok());
-  auto reloaded = LoadCorpusFromDir(dir.path());
+  ASSERT_TRUE(SaveLakeToDir(corpus, dir.path(), LakeFormat::kCsv).ok());
+  auto reloaded = LoadLakeFromDir(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reloaded.ok());
   ASSERT_EQ(reloaded->num_tables(), 1u);
   EXPECT_EQ(reloaded->tables()[0].columns[0].values, values);

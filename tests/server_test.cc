@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -449,6 +450,62 @@ TEST_F(ServerTest, DrainDuringConcurrentTrafficAnswersEverything) {
   for (auto& t : threads) t.join();
   server_->Join();
   EXPECT_GT(answered.load(), 0);
+}
+
+// ---------------------------------------------------------------------------
+// Rule lifecycle feedback.
+
+// Every verdict endpoint feeds the lifecycle's violation counter, so one
+// flagged batch makes its rule due for a violation-triggered retrain. The
+// rule has no cached retrain source, so "due" shows up as a skipped retrain.
+TEST(ServerLifecycleTest, EveryVerdictEndpointRecordsOutcome) {
+  const auto bad = Digits(50, 6);
+  for (const char* endpoint :
+       {"VALIDATE", "VALIDATE_TABLE", "column SESSION_FINISH",
+        "table SESSION_FINISH"}) {
+    SCOPED_TRACE(endpoint);
+    ValidationService service(nullptr, AutoValidateOptions{},
+                              /*num_train_threads=*/1);
+    service.Upsert("a", DigitsRule(3));
+    RuleLifecycleOptions opts;
+    opts.violation_threshold = 1;
+    RuleLifecycle lifecycle(&service, opts);
+    ServerConfig cfg;
+    cfg.num_workers = 1;
+    Server server(&service, cfg, &lifecycle);
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+    bool flagged = false;
+    const std::string_view e(endpoint);
+    if (e == "VALIDATE") {
+      auto reply = client.Validate("a", bad);
+      ASSERT_TRUE(reply.ok());
+      flagged = reply->report.flagged;
+    } else if (e == "VALIDATE_TABLE") {
+      auto reply = client.ValidateTable({{"a", bad}});
+      ASSERT_TRUE(reply.ok());
+      flagged = reply->columns.at(0).report.flagged;
+    } else if (e == "column SESSION_FINISH") {
+      auto session = client.OpenColumnSession("a");
+      ASSERT_TRUE(session.ok());
+      ASSERT_TRUE(client.FeedColumn(session->id, bad).ok());
+      auto reply = client.FinishColumnSession(session->id);
+      ASSERT_TRUE(reply.ok());
+      flagged = reply->report.flagged;
+    } else {
+      auto session = client.OpenTableSession();
+      ASSERT_TRUE(session.ok());
+      ASSERT_TRUE(client.FeedTable(session->id, {{"a", bad}}).ok());
+      auto reply = client.FinishTableSession(session->id);
+      ASSERT_TRUE(reply.ok());
+      flagged = reply->columns.at(0).report.flagged;
+    }
+    ASSERT_TRUE(flagged);
+    EXPECT_EQ(lifecycle.ScanOnce(), 0u);
+    EXPECT_EQ(lifecycle.retrains_skipped(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,11 +28,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-ScopedTempDir MakeTempDir() {
-  auto dir = ScopedTempDir::Create();
-  EXPECT_TRUE(dir.ok());
-  return std::move(dir).value();
-}
+using testutil::MakeTempDir;
 
 /// Serialized AVIDX003 bytes of an index (the determinism contract's
 /// currency: two indexes are "identical" iff these bytes are equal).
@@ -277,8 +273,8 @@ TEST(SpillBuildTest, CsvStreamedSpillBuildMatchesInMemoryBuild) {
   // all-in-memory build over the identical corpus.
   const Corpus lake = testutil::SmallLake(300, 11);
   ScopedTempDir csv_dir = MakeTempDir();
-  ASSERT_TRUE(SaveCorpusToDir(lake, csv_dir.path()).ok());
-  auto reloaded = LoadCorpusFromDir(csv_dir.path());
+  ASSERT_TRUE(SaveLakeToDir(lake, csv_dir.path(), LakeFormat::kCsv).ok());
+  auto reloaded = LoadLakeFromDir(csv_dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reloaded.ok());
 
   IndexerConfig cfg;
@@ -430,11 +426,11 @@ TEST(ColumnReaderTest, CorpusReaderYieldsFullChunksInCorpusOrder) {
   for (size_t i = 0; i < all.size(); ++i) EXPECT_EQ(seen[i], all[i]);
 }
 
-TEST(ColumnReaderTest, CsvDirReaderMatchesLoadCorpusFromDir) {
+TEST(ColumnReaderTest, CsvDirReaderMatchesLoadLakeFromDir) {
   const Corpus lake = testutil::SmallLake(90, 17);
   ScopedTempDir dir = MakeTempDir();
-  ASSERT_TRUE(SaveCorpusToDir(lake, dir.path()).ok());
-  auto loaded = LoadCorpusFromDir(dir.path());
+  ASSERT_TRUE(SaveLakeToDir(lake, dir.path(), LakeFormat::kCsv).ok());
+  auto loaded = LoadLakeFromDir(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(loaded.ok());
   const auto all = loaded->AllColumns();
 
@@ -463,7 +459,7 @@ TEST(ColumnReaderTest, CsvDirReaderMatchesLoadCorpusFromDir) {
 TEST(ColumnReaderTest, ChunkOwnerOutlivesReaderAdvance) {
   const Corpus lake = testutil::SmallLake(40, 29);
   ScopedTempDir dir = MakeTempDir();
-  ASSERT_TRUE(SaveCorpusToDir(lake, dir.path()).ok());
+  ASSERT_TRUE(SaveLakeToDir(lake, dir.path(), LakeFormat::kCsv).ok());
   auto reader = LakeDirColumnReader::Open(dir.path(), LakeFormat::kCsv);
   ASSERT_TRUE(reader.ok());
   auto first = reader->NextChunk(5);

@@ -1,5 +1,6 @@
-// Shared helpers for the test suite: small deterministic corpora and a
-// pre-built index fixture, so individual tests stay fast.
+// Shared helpers for the test suite: small deterministic corpora, a
+// pre-built index fixture, so individual tests stay fast, and per-test
+// temporary directories.
 #pragma once
 
 // AV_TSAN marks ThreadSanitizer builds. Death tests fork, and forking an
@@ -13,17 +14,28 @@
 #endif
 #endif
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/temp_file.h"
 #include "corpus/corpus.h"
 #include "index/indexer.h"
 #include "index/pattern_index.h"
 #include "lakegen/lakegen.h"
 
 namespace av::testutil {
+
+/// A fresh, uniquely named temporary directory, removed with its contents
+/// at scope exit, so test processes running at once never share a file.
+inline ScopedTempDir MakeTempDir() {
+  auto dir = ScopedTempDir::Create();
+  EXPECT_TRUE(dir.ok());
+  return std::move(dir).value();
+}
 
 /// A small enterprise-profile lake (deterministic).
 inline Corpus SmallLake(size_t columns = 400, uint64_t seed = 42) {

@@ -148,7 +148,8 @@ TEST(ValidationSessionTest, WeightedViewEqualsExpandedColumn) {
 
 TEST(ValidationSessionTest, SampleViolationCapConfigurable) {
   const ValidationRule rule = DigitsRule(10, 0);
-  const auto batch = DigitBatch(0, 50);
+  std::vector<std::string> batch;
+  for (int i = 0; i < 50; ++i) batch.push_back("bad-" + std::to_string(i));
   EXPECT_EQ(ValidateColumn(rule, batch).sample_violations.size(), 5u);
   EXPECT_EQ(ValidateColumn(rule, batch, 12).sample_violations.size(), 12u);
   EXPECT_EQ(ValidateColumn(rule, batch, 0).sample_violations.size(), 0u);
@@ -334,16 +335,13 @@ std::vector<std::string> LetterBatch(size_t good, size_t bad) {
   return values;
 }
 
-void ExpectReportsEqual(const ValidationReport& a, const ValidationReport& b,
-                        bool compare_samples = true) {
+void ExpectReportsEqual(const ValidationReport& a, const ValidationReport& b) {
   EXPECT_EQ(a.total, b.total);
   EXPECT_EQ(a.nonconforming, b.nonconforming);
   EXPECT_DOUBLE_EQ(a.theta_test, b.theta_test);
   EXPECT_DOUBLE_EQ(a.p_value, b.p_value);
   EXPECT_EQ(a.flagged, b.flagged);
-  if (compare_samples) {
-    EXPECT_EQ(a.sample_violations, b.sample_violations);
-  }
+  EXPECT_EQ(a.sample_violations, b.sample_violations);
 }
 
 TEST(ValidateAllTest, MatchesSingleColumnValidateBytewise) {
@@ -351,8 +349,7 @@ TEST(ValidateAllTest, MatchesSingleColumnValidateBytewise) {
   service.Upsert("ids", DigitsRule(1000, 1));
   service.Upsert("names", LettersRule(500, 2));
 
-  // Batches with repeated violating values, so the tokenize-once dedup
-  // path is actually exercised.
+  // Batches with repeated violating values, so sample dedup is exercised.
   const auto ids = DigitBatch(855, 45);
   const auto names = LetterBatch(400, 12);
   const auto orphan = DigitBatch(30, 0);
@@ -468,15 +465,13 @@ TEST(ValidateAllTest, TableReportMergeAssociativeForArbitraryShardSplits) {
     EXPECT_EQ(left.rows_scanned, right.rows_scanned);
     EXPECT_EQ(left.columns_flagged, right.columns_flagged);
 
-    // Shard-reduce equals the single-pass table run on counts, test
-    // statistics and verdicts. (Sample lists can differ: a violating value
-    // repeated across shards is deduplicated only within each shard.)
+    // Shard-reduce equals the single-pass table run, sample lists
+    // included.
     EXPECT_EQ(left.store_version, whole.store_version);
     EXPECT_EQ(left.rows_scanned, whole.rows_scanned);
     ASSERT_EQ(left.columns.size(), whole.columns.size());
     for (size_t i = 0; i < whole.columns.size(); ++i) {
-      ExpectReportsEqual(left.columns[i].report, whole.columns[i].report,
-                         /*compare_samples=*/false);
+      ExpectReportsEqual(left.columns[i].report, whole.columns[i].report);
     }
   }
 
@@ -521,8 +516,7 @@ TEST(ValidateAllTest, MergeMatchesDuplicateColumnNamesByOccurrence) {
   EXPECT_EQ(merged.columns[1].stats.nonconforming,
             whole.columns[1].stats.nonconforming);
   for (size_t i = 0; i < 2; ++i) {
-    ExpectReportsEqual(merged.columns[i].report, whole.columns[i].report,
-                       /*compare_samples=*/false);
+    ExpectReportsEqual(merged.columns[i].report, whole.columns[i].report);
   }
   EXPECT_EQ(merged.rows_scanned, whole.rows_scanned);
   EXPECT_EQ(merged.columns_flagged, whole.columns_flagged);
@@ -583,8 +577,7 @@ TEST(TableSessionTest, MicroBatchTableFeedsEqualWholeTableRun) {
   ASSERT_EQ(streamed.columns.size(), 3u);
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(streamed.columns[i].name, whole.columns[i].name);
-    ExpectReportsEqual(streamed.columns[i].report, whole.columns[i].report,
-                       /*compare_samples=*/false);
+    ExpectReportsEqual(streamed.columns[i].report, whole.columns[i].report);
   }
   // "late" was upserted after the session was pinned: still unmonitored.
   EXPECT_EQ(streamed.columns[2].name, "late");

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+
 #include "pattern/matcher.h"
 
 namespace av {
@@ -25,6 +28,13 @@ std::vector<std::string> DigitBatch(size_t good, size_t bad) {
   std::vector<std::string> values;
   for (size_t i = 0; i < good; ++i) values.push_back(std::to_string(100 + i));
   for (size_t i = 0; i < bad; ++i) values.push_back("N/A");
+  return values;
+}
+
+/// `n` distinct values that violate `<digit>+`.
+std::vector<std::string> DistinctViolations(size_t n) {
+  std::vector<std::string> values;
+  for (size_t i = 0; i < n; ++i) values.push_back("bad-" + std::to_string(i));
   return values;
 }
 
@@ -87,14 +97,17 @@ TEST(ValidatorTest, EmptyBatchPasses) {
 }
 
 TEST(ValidatorTest, SampleViolationsCappedAtFive) {
-  const auto report = ValidateColumn(DigitsRule(10, 0), DigitBatch(0, 50));
-  EXPECT_EQ(report.sample_violations.size(), 5u);
+  const auto report = ValidateColumn(DigitsRule(10, 0), DistinctViolations(50));
+  EXPECT_EQ(report.sample_violations,
+            (std::vector<std::string>{"bad-0", "bad-1", "bad-2", "bad-3",
+                                      "bad-4"}));
 }
 
 TEST(ValidatorStatsTest, SelfMergeDoublesCountsWithoutUB) {
   // Regression: MergeFrom used a range-for over other.sample_violations
   // while push_back-ing into the same vector — iterator-invalidation UB
-  // when `&other == this`. Self-merge is now defined as merging a copy.
+  // when `&other == this`. Self-merge is now defined as merging a copy:
+  // the counts double and the distinct samples stay the same.
   ValidationStats s;
   s.total = 10;
   s.nonconforming = 3;
@@ -104,8 +117,7 @@ TEST(ValidatorStatsTest, SelfMergeDoublesCountsWithoutUB) {
   s.MergeFrom(s, /*max_samples=*/5);
   EXPECT_EQ(s.total, 20u);
   EXPECT_EQ(s.nonconforming, 6u);
-  EXPECT_EQ(s.sample_violations,
-            (std::vector<std::string>{"a", "b", "c", "a", "b"}));
+  EXPECT_EQ(s.sample_violations, (std::vector<std::string>{"a", "b", "c"}));
 
   // s.MergeFrom(s) == Merge(copy, copy): identical-copy semantics.
   const ValidationStats doubled = ValidationStats::Merge(copy, copy, 5);
@@ -125,34 +137,6 @@ TEST(ValidatorStatsTest, SelfMergeDoublesCountsWithoutUB) {
   EXPECT_EQ(capped.total, 20u);
   EXPECT_EQ(capped.sample_violations,
             (std::vector<std::string>{"a", "b", "c"}));
-}
-
-TEST(ValidatorTest, TokenizedPathMatchesStreamingCounts) {
-  // The tokenize-once accumulate drives the same matcher over prebuilt
-  // spans: counts, theta, p-value and flag equal the per-row path; the
-  // sample list is the distinct violating values in first-seen order.
-  const ValidationRule rule = DigitsRule(1000, 1);
-  std::vector<std::string> values = DigitBatch(300, 0);
-  for (int i = 0; i < 40; ++i) {
-    values.push_back("bad-" + std::to_string(i % 3));  // repeats violations
-  }
-  const ValidationReport streaming = ValidateColumn(rule, values);
-  const ValidationReport tokenized =
-      ValidateColumn(rule, TokenizedColumn::Build(values));
-  EXPECT_EQ(tokenized.total, streaming.total);
-  EXPECT_EQ(tokenized.nonconforming, streaming.nonconforming);
-  EXPECT_DOUBLE_EQ(tokenized.theta_test, streaming.theta_test);
-  EXPECT_DOUBLE_EQ(tokenized.p_value, streaming.p_value);
-  EXPECT_EQ(tokenized.flagged, streaming.flagged);
-  EXPECT_EQ(tokenized.sample_violations,
-            (std::vector<std::string>{"bad-0", "bad-1", "bad-2"}));
-
-  // The session overload accumulates identically and exposes the stats.
-  ValidationSession session(rule);
-  session.Feed(TokenizedColumn::Build(values));
-  EXPECT_EQ(session.stats().total, streaming.total);
-  EXPECT_EQ(session.stats().nonconforming, streaming.nonconforming);
-  EXPECT_EQ(session.shared_rule()->train_size, rule.train_size);
 }
 
 void ExpectReportsIdentical(const ValidationReport& a,
@@ -178,75 +162,80 @@ TEST(AdaptiveValidateTest, DistinctRatioEstimates) {
   EXPECT_EQ(EstimateDistinctRatio(std::vector<std::string>{}), 1.0);
 }
 
-// The adaptive contract: whichever arm the duplication sniff picks, the
-// report must be byte-identical to the tokenized (TokenizedColumn) path —
-// including the sample-violation list, which both arms define as the first
-// max_samples DISTINCT violating values in first-seen order.
-TEST(AdaptiveValidateTest, ReportIdenticalToTokenizedPathOnBothArms) {
-  const ValidationRule rule = DigitsRule(1000, 1);
-  // Arm 1: all-distinct (streaming arm), violations interleaved + repeated.
-  std::vector<std::string> streaming_batch;
-  for (int i = 0; i < 300; ++i) {
-    streaming_batch.push_back(std::to_string(10000 + i));
-    if (i % 29 == 0) {
-      std::string bad = "bad-";
-      bad += std::to_string(i % 3);
-      streaming_batch.push_back(std::move(bad));
+/// Brute-force reference for the counts and the sample rule: one
+/// PatternMatcher::Matches per row, keeping the first `max_samples`
+/// distinct violating values in row order.
+ValidationStats ReferenceStats(const Pattern& pattern,
+                               const std::vector<std::string>& rows,
+                               size_t max_samples) {
+  PatternMatcher matcher(pattern);
+  ValidationStats ref;
+  for (const std::string& v : rows) {
+    ++ref.total;
+    if (matcher.Matches(v)) continue;
+    ++ref.nonconforming;
+    const auto& samples = ref.sample_violations;
+    if (samples.size() < max_samples &&
+        std::find(samples.begin(), samples.end(), v) == samples.end()) {
+      ref.sample_violations.push_back(v);
     }
   }
-  // Arm 2: low-cardinality (tokenized arm).
-  std::vector<std::string> dup_batch;
-  for (int i = 0; i < 300; ++i) {
-    dup_batch.push_back(std::to_string(i % 7));
-    if (i % 13 == 0) {
-      std::string bad = "oops-";
-      bad += std::to_string(i % 2);
-      dup_batch.push_back(std::move(bad));
-    }
-  }
-  for (const auto& batch : {streaming_batch, dup_batch}) {
-    ValidationStats adaptive_stats;
-    const ValidationReport adaptive =
-        ValidateColumnAdaptive(rule, batch, 5, &adaptive_stats);
-    ValidationStats tokenized_stats;
-    const ValidationReport tokenized = ValidateColumn(
-        rule, TokenizedColumn::Build(batch), 5, &tokenized_stats);
-    ExpectReportsIdentical(adaptive, tokenized);
-    EXPECT_EQ(adaptive_stats.total, tokenized_stats.total);
-    EXPECT_EQ(adaptive_stats.nonconforming, tokenized_stats.nonconforming);
-    EXPECT_EQ(adaptive_stats.sample_violations,
-              tokenized_stats.sample_violations);
-  }
+  return ref;
 }
 
-// Randomized sweep across duplication levels: the adaptive report equals the
-// tokenized report for every mix, i.e. the path choice is unobservable.
-TEST(AdaptiveValidateTest, PathChoiceUnobservableAcrossDuplicationLevels) {
+// Randomized sweep across duplication levels, caps and micro-batch splits:
+// whichever arm the duplication sniff picks, ValidateColumn and a session
+// fed the same rows in random in-order pieces both equal the reference,
+// sample list included.
+TEST(ValidatorTest, EveryPathMatchesBruteForceReference) {
+  // The distinct ratio at or above which AccumulateValidation streams row
+  // by row instead of tokenizing once (validator.cc).
+  constexpr double kRowArmRatio = 0.875;
   const ValidationRule rule = DigitsRule(500, 2);
   uint64_t state = 7;
   const auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
     return state >> 33;
   };
-  for (int trial = 0; trial < 40; ++trial) {
-    const size_t rows = 20 + next() % 300;
-    const size_t cardinality = 1 + next() % rows;
+  size_t row_arm = 0;
+  size_t distinct_arm = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t rows = 1 + next() % 400;
+    // Good values all-distinct or from a small pool; violations from a
+    // small pool, so they repeat on both arms.
+    const uint64_t good_pool = next() % 2 == 0 ? 1u << 30 : 1 + next() % 16;
+    const uint64_t bad_pool = 1 + next() % 6;
+    const uint64_t bad_every = 2 + next() % 20;
+    const size_t max_samples = next() % 8;
     std::vector<std::string> batch;
     for (size_t r = 0; r < rows; ++r) {
-      const uint64_t v = next() % cardinality;
-      if (v % 11 == 3) {
+      if (next() % bad_every == 0) {
         std::string bad = "x!";
-        bad += std::to_string(v);
-        batch.push_back(std::move(bad));  // violating shape
+        bad += std::to_string(next() % bad_pool);
+        batch.push_back(std::move(bad));
       } else {
-        batch.push_back(std::to_string(v));
+        batch.push_back(std::to_string(next() % good_pool));
       }
     }
-    const ValidationReport adaptive = ValidateColumnAdaptive(rule, batch, 5);
-    const ValidationReport tokenized =
-        ValidateColumn(rule, TokenizedColumn::Build(batch), 5);
-    ExpectReportsIdentical(adaptive, tokenized);
+    ++(EstimateDistinctRatio(batch) >= kRowArmRatio ? row_arm : distinct_arm);
+    SCOPED_TRACE("trial " + std::to_string(trial));
+
+    const ValidationStats ref = ReferenceStats(rule.pattern, batch, max_samples);
+    const ValidationReport want = FinishValidation(rule, ref);
+    ExpectReportsIdentical(ValidateColumn(rule, batch, max_samples), want);
+
+    ValidationSession session(rule, max_samples);
+    const std::span<const std::string> all(batch);
+    for (size_t begin = 0; begin < rows;) {
+      const size_t len = std::min<size_t>(1 + next() % rows, rows - begin);
+      session.Feed(all.subspan(begin, len));
+      begin += len;
+    }
+    ExpectReportsIdentical(session.Finish(), want);
+    EXPECT_EQ(session.shared_rule()->train_size, rule.train_size);
   }
+  EXPECT_GT(row_arm, 0u);
+  EXPECT_GT(distinct_arm, 0u);
 }
 
 TEST(ValidatorTest, ImprovementSetsExplicitPValue) {
