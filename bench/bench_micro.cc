@@ -504,7 +504,7 @@ struct ServiceFixture {
 };
 
 /// End-to-end serving throughput: concurrent threads validating named
-/// columns against the shared rule store (wait-free snapshot reads). Run
+/// columns against the shared rule store (snapshot reads). Run
 /// with --benchmark_filter=BM_ServiceValidateThroughput; items/sec is
 /// columns validated per second across all threads.
 void BM_ServiceValidateThroughput(benchmark::State& state) {

@@ -17,9 +17,7 @@ namespace av {
 
 namespace {
 
-/// User-space write batching (one write(2) per 256 KiB instead of per
-/// Append), also the chunk size of the streamed trailer verification.
-constexpr size_t kBufferBytes = 256 * 1024;
+constexpr size_t kBufferBytes = DurableFileWriter::kBufferBytes;
 
 std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
@@ -58,7 +56,7 @@ Status DurableFileWriter::Open(const std::string& target,
     if (fd >= 0) {
       fd_ = fd;
       temp_path_ = std::move(candidate);
-      buffer_.reserve(kBufferBytes);
+      buffer_ = std::make_unique<char[]>(kBufferBytes + kTrailerBytes);
       return Status::OK();
     }
     if (errno != EEXIST) {
@@ -83,37 +81,45 @@ Status DurableFileWriter::WriteRaw(const void* data, size_t n) {
 }
 
 Status DurableFileWriter::FlushBuffer() {
-  if (buffer_.empty()) return Status::OK();
-  AV_RETURN_NOT_OK(WriteRaw(buffer_.data(), buffer_.size()));
-  buffer_.clear();
+  if (buffered_ == 0) return Status::OK();
+  if (opts_.checksum) hasher_.Update(buffer_.get(), buffered_);
+  AV_RETURN_NOT_OK(WriteRaw(buffer_.get(), buffered_));
+  buffered_ = 0;
   return Status::OK();
 }
 
-Status DurableFileWriter::Append(const void* data, size_t n) {
+Status DurableFileWriter::AppendAndFlush(const void* data, size_t n) {
   if (fd_ < 0) return Status::Internal("durable writer not open");
-  if (opts_.checksum) hasher_.Update(data, n);
+  // The inline path took every append that leaves the buffer short of
+  // full; this one fills it, so the buffer goes out first.
+  AV_RETURN_NOT_OK(FlushBuffer());
   payload_bytes_ += n;
-  if (buffer_.size() + n >= kBufferBytes) {
-    AV_RETURN_NOT_OK(FlushBuffer());
-    if (n >= kBufferBytes) return WriteRaw(data, n);  // skip the copy
+  if (n >= kBufferBytes) {  // skip the copy
+    if (opts_.checksum) hasher_.Update(data, n);
+    return WriteRaw(data, n);
   }
-  buffer_.append(static_cast<const char*>(data), n);
+  std::memcpy(buffer_.get(), data, n);
+  buffered_ = n;
   return Status::OK();
 }
 
 Status DurableFileWriter::Commit() {
   if (fd_ < 0) return Status::Internal("durable writer not open");
-  Status st = Status::OK();
   if (opts_.checksum) {
-    // Trailer: payload length, payload hash, magic — appended raw (not via
-    // Append: the trailer covers the payload, it is not part of it).
+    // The unflushed tail is the last of the payload. The trailer (payload
+    // length, payload hash, magic) covers the payload, it is not part of
+    // it: it rides unhashed in the same final write.
+    hasher_.Update(buffer_.get(), buffered_);
     const uint64_t len = payload_bytes_;
     const uint64_t digest = hasher_.digest();
-    buffer_.append(reinterpret_cast<const char*>(&len), sizeof(len));
-    buffer_.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
-    buffer_.append(kTrailerMagic, sizeof(kTrailerMagic));
+    char* const t = buffer_.get() + buffered_;
+    std::memcpy(t, &len, sizeof(len));
+    std::memcpy(t + 8, &digest, sizeof(digest));
+    std::memcpy(t + 16, kTrailerMagic, sizeof(kTrailerMagic));
+    buffered_ += kTrailerBytes;
   }
-  st = FlushBuffer();
+  Status st = WriteRaw(buffer_.get(), buffered_);
+  buffered_ = 0;
   FileOps* const ops = CurrentFileOps();
   if (st.ok() && opts_.sync && ops->Fsync(fd_) != 0) {
     st = Status::IOError(ErrnoMessage("cannot fsync", temp_path_));

@@ -40,6 +40,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -56,7 +58,8 @@ inline constexpr size_t kTrailerBytes = 24;
 
 /// Incremental PolyHash64: digest() equals PolyHash64 of the concatenation
 /// of every Update() fragment, for any fragment boundaries (the hash is a
-/// per-byte fold, so streaming writers can checksum without buffering).
+/// per-byte fold, so a writer may checksum whole flushed buffers instead of
+/// each appended fragment).
 class PolyHasher {
  public:
   void Update(const void* data, size_t n) {
@@ -91,8 +94,16 @@ struct DurableWriteOptions {
 /// Until Commit() returns OK the target path is untouched; destruction (or
 /// Abandon()) before a successful Commit removes the temp file. One writer
 /// is single-use: Open may be called once.
+///
+/// Appends collect in a 256 KiB buffer that is written with one write(2)
+/// when the next append would fill it; the checksum folds each buffer as
+/// it is flushed, so an append that fits is a plain copy.
 class DurableFileWriter {
  public:
+  /// Size of the write buffer: one write(2) per 256 KiB of payload, also
+  /// the chunk size of the streamed trailer verification.
+  static constexpr size_t kBufferBytes = 256 * 1024;
+
   DurableFileWriter() = default;
   ~DurableFileWriter() { Abandon(); }
   DurableFileWriter(const DurableFileWriter&) = delete;
@@ -104,7 +115,15 @@ class DurableFileWriter {
   Status Open(const std::string& target, DurableWriteOptions opts = {});
 
   /// Buffered append of payload bytes (checksummed when enabled).
-  Status Append(const void* data, size_t n);
+  Status Append(const void* data, size_t n) {
+    if (fd_ >= 0 && n < kBufferBytes - buffered_) {
+      std::memcpy(buffer_.get() + buffered_, data, n);
+      buffered_ += n;
+      payload_bytes_ += n;
+      return Status::OK();
+    }
+    return AppendAndFlush(data, n);
+  }
   Status Append(std::string_view s) { return Append(s.data(), s.size()); }
   /// Appends the raw in-memory representation of a trivially-copyable value
   /// (the native little-endian convention of every AV format).
@@ -131,13 +150,20 @@ class DurableFileWriter {
   void Abandon();
 
  private:
+  /// Append's slow path: the bytes do not fit in the buffer (or the writer
+  /// is not open).
+  Status AppendAndFlush(const void* data, size_t n);
   Status WriteRaw(const void* data, size_t n);
+  /// Checksums and writes the buffered payload bytes.
   Status FlushBuffer();
 
   int fd_ = -1;
   std::string target_;
   std::string temp_path_;
-  std::string buffer_;
+  /// kBufferBytes of payload plus room for the trailer, which Commit sends
+  /// in the same write(2) as the last payload bytes.
+  std::unique_ptr<char[]> buffer_;
+  size_t buffered_ = 0;
   DurableWriteOptions opts_;
   PolyHasher hasher_;
   uint64_t payload_bytes_ = 0;

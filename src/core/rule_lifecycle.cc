@@ -116,8 +116,8 @@ size_t RuleLifecycle::ScanOnce() {
     }
   }
 
-  // Retrain outside the lock, off the serving threads: readers stay
-  // wait-free and RecordOutcome/RecordBatch never stall behind a training.
+  // Retrain outside the lock, off the serving threads: neither readers nor
+  // RecordOutcome/RecordBatch ever stall behind a training.
   std::vector<ValidationService::RuleUpdate> updates;
   std::vector<std::string> retrained;
   for (Work& w : due) {

@@ -3,8 +3,8 @@
 // drift, formats evolve — so rules carry a TTL (RuleMeta, persisted through
 // AVRULESET2) and a background scanner retrains expired or violation-heavy
 // rules *off the serving threads*, installing each retrain round as ONE
-// warm-swapped store generation (ValidationService::UpsertBatch): wait-free
-// readers and already-open sessions never observe a mixed rule store.
+// warm-swapped store generation (ValidationService::UpsertBatch): readers
+// and already-open sessions never observe a mixed rule store.
 //
 //   av::RuleLifecycle lifecycle(&service, opts);     // opts.default_ttl_ms
 //   lifecycle.Train("locale", first_batch);          // stamps trained_at/TTL
@@ -23,7 +23,7 @@
 // Concurrency: all mutable state lives behind one mutex (the scanner tick
 // and the serving-path RecordOutcome/RecordBatch touches are brief);
 // training itself runs outside the lock on the caller/scanner thread, and
-// the store install is the service's wait-free swap. Clock is injectable
+// the store install is the service's pointer swap. Clock is injectable
 // (options.now_ms) so expiry is testable without sleeping.
 #pragma once
 

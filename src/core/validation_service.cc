@@ -48,26 +48,34 @@ bool ParseHeaderU64(const std::string& field, std::string_view key,
 ValidationService::ValidationService(const PatternIndex* index,
                                      AutoValidateOptions opts,
                                      size_t num_train_threads)
-    : engine_(index, std::move(opts)), pool_(num_train_threads) {
-  head_.store(std::make_shared<const RuleSet>(), std::memory_order_release);
+    : engine_(index, std::move(opts)),
+      pool_(num_train_threads),
+      head_(std::make_shared<const RuleSet>()) {}
+
+void ValidationService::Publish(std::shared_ptr<const RuleSet> next) {
+  {
+    std::lock_guard<std::mutex> lock(head_mu_);
+    head_.swap(next);
+  }
+  // `next` now holds the previous generation; a last reference drops here,
+  // outside the lock.
 }
 
 template <typename Mutate>
 bool ValidationService::Update(const Mutate& mutate) {
   std::lock_guard<std::mutex> lock(write_mu_);
-  const std::shared_ptr<const RuleSet> cur =
-      head_.load(std::memory_order_acquire);
+  const std::shared_ptr<const RuleSet> cur = Snapshot();
   auto next = std::make_shared<RuleSet>(*cur);
   if (!mutate(next.get())) return false;
   next->version = cur->version + 1;
-  head_.store(std::shared_ptr<const RuleSet>(std::move(next)),
-              std::memory_order_release);
+  Publish(std::move(next));
   return true;
 }
 
 std::shared_ptr<const ValidationService::RuleSet> ValidationService::Snapshot()
     const {
-  return head_.load(std::memory_order_acquire);
+  std::lock_guard<std::mutex> lock(head_mu_);
+  return head_;
 }
 
 Result<ValidationRule> ValidationService::Train(const std::string& name,
@@ -520,9 +528,7 @@ Status ValidationService::LoadFromBuffer(std::string_view data) {
 
   // Publish the loaded generation, adopting the file's version.
   std::lock_guard<std::mutex> lock(write_mu_);
-  auto next = std::make_shared<RuleSet>(std::move(set).value());
-  head_.store(std::shared_ptr<const RuleSet>(std::move(next)),
-              std::memory_order_release);
+  Publish(std::make_shared<const RuleSet>(std::move(set).value()));
   return Status::OK();
 }
 

@@ -11,13 +11,14 @@
 //   auto table = service.ValidateAll(todays_table);  // whole-table serving
 //   auto report = service.Validate("locale", todays_batch);   // any thread
 //
-// Concurrency model: the rule store is an immutable snapshot behind an
-// atomic shared_ptr. Readers (Validate / ValidateAll / OpenSession /
-// OpenTableSession / Find) load the snapshot wait-free and never block;
-// writers (Upsert / Remove / TrainAll / Load) serialize on a mutex, build
-// the next snapshot aside, and publish it atomically with a bumped version.
-// A reader holding a snapshot keeps its rules alive across any number of
-// store updates.
+// Concurrency model: the rule store is an immutable snapshot behind a
+// shared_ptr. Readers (Validate / ValidateAll / OpenSession /
+// OpenTableSession / Find) copy the pointer under a mutex held for that
+// copy alone, and then never block; writers (Upsert / Remove / TrainAll /
+// Load) serialize on a second mutex, build the next snapshot aside, and
+// publish it with a bumped version by swapping the pointer under the
+// first. A reader holding a snapshot keeps its rules alive across any
+// number of store updates.
 //
 // Table-level serving: ValidateAll loads ONE snapshot, fans the table's
 // columns out over the service's thread pool, and judges every column
@@ -27,7 +28,6 @@
 // snapshot.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -188,8 +188,9 @@ class ValidationService {
 
   // -------------------------------------------------------------- serving
 
-  /// Validates a batch against the stored rule for `name`. Wait-free with
-  /// respect to writers; NotFound when no rule is stored for the column.
+  /// Validates a batch against the stored rule for `name`. A writer delays
+  /// it by one pointer swap at most; NotFound when no rule is stored for
+  /// the column.
   Result<ValidationReport> Validate(std::string_view name,
                                     ColumnView values) const;
 
@@ -219,7 +220,7 @@ class ValidationService {
   void Upsert(const std::string& name, ValidationRule rule);
 
   /// Warm swap: installs every update — rules AND lifecycle meta — as ONE
-  /// store generation (a single version bump). Wait-free readers and
+  /// store generation (a single version bump). Readers and
   /// already-open sessions observe either the previous snapshot or the
   /// complete new one, never a mix; this is the install path background
   /// retraining uses (RuleLifecycle) and the same machinery TrainAll's
@@ -240,7 +241,7 @@ class ValidationService {
   /// stored under `name`.
   std::optional<RuleMeta> FindMeta(std::string_view name) const;
 
-  /// Wait-free snapshot of the whole rule set.
+  /// Snapshot of the whole rule set (a pointer copy under head_mu_).
   std::shared_ptr<const RuleSet> Snapshot() const;
 
   size_t size() const { return Snapshot()->rules.size(); }
@@ -280,11 +281,17 @@ class ValidationService {
   /// (returning whether anything changed), publishes with version + 1.
   template <typename Mutate>
   bool Update(const Mutate& mutate);
+  /// Swaps the published snapshot for `next`.
+  void Publish(std::shared_ptr<const RuleSet> next);
 
   AutoValidate engine_;
   mutable ThreadPool pool_;
 
-  std::atomic<std::shared_ptr<const RuleSet>> head_;
+  /// Guards only the copy or swap of head_. (libstdc++'s
+  /// std::atomic<std::shared_ptr> is a lock-bit spinlock, not lock-free,
+  /// and ThreadSanitizer reports its load and swap as a race.)
+  mutable std::mutex head_mu_;
+  std::shared_ptr<const RuleSet> head_;
   std::mutex write_mu_;  ///< serializes writers; readers never take it
 };
 

@@ -201,7 +201,10 @@ class PatternIndex {
     NameArena names;          ///< canonical string forms (cold path)
   };
 
-  /// Every entry as (key, name, stats), sorted by name.
+  /// Every entry as (key, name, stats), sorted by name: a sample sort over
+  /// name ranges of about 8192 entries, sorted in parallel once there is
+  /// more than one. The order depends on neither the sample nor the
+  /// thread count.
   struct SortedRow {
     uint64_t key;
     std::string_view name;

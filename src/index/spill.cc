@@ -69,10 +69,10 @@ Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
   SpillRunWriter writer;
   AV_RETURN_NOT_OK(writer.Open(path));
   Status st = Status::OK();
+  SpillEntry entry;  // reused, so its name keeps its capacity across rows
   chunk.ForEachSorted([&](uint64_t key, const std::string& name,
                           const PatternIndex::Entry& e) {
     if (!st.ok()) return;
-    SpillEntry entry;
     entry.key = key;
     entry.name = name;
     entry.sum_impurity = e.sum_impurity;

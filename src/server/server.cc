@@ -68,6 +68,11 @@ Server::Server(ValidationService* service, ServerConfig cfg,
 Server::~Server() {
   RequestDrain();
   Join();
+  // The eventfd outlives the loop and the handlers: a handler wakes the
+  // loop as it finishes, which can be after the loop has seen the server
+  // idle and exited, so the fd closes only once every handler has returned.
+  pool_.Wait();
+  if (wake_fd_ >= 0) ::close(wake_fd_);
 }
 
 Status Server::Start() {
@@ -241,8 +246,6 @@ void Server::LoopMain() {
   }
   ::close(epoll_fd_);
   epoll_fd_ = -1;
-  ::close(wake_fd_);
-  wake_fd_ = -1;
 }
 
 void Server::AcceptAll() {
@@ -496,7 +499,7 @@ std::string Server::HandleValidate(WireReader& r) {
   if (!r.Done()) {
     return ErrorReply(Status::InvalidArgument("malformed VALIDATE payload"));
   }
-  // One wait-free snapshot per request: rule lookup and judgement come from
+  // One snapshot per request: rule lookup and judgement come from
   // the same store generation, and the reply says which.
   const auto snapshot = service_->Snapshot();
   const auto it = snapshot->rules.find(name);

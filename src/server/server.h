@@ -16,7 +16,7 @@
 //                  session state needs no locking. Different connections
 //                  proceed in parallel.
 //
-// Request handling reads one wait-free ValidationService snapshot per
+// Request handling reads one ValidationService snapshot per
 // request (VALIDATE / VALIDATE_TABLE) or pins the open-time snapshot
 // (SESSION_*), so no response ever mixes rule-store generations, no matter
 // how training/retraining churns concurrently.
@@ -182,7 +182,7 @@ class Server {
 
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
-  int wake_fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd; open from Start until ~Server
   uint16_t port_ = 0;
   std::thread loop_;
 

@@ -7,16 +7,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/file_ops.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
+#include "testing/crashmc.h"
 #include "tests/test_util.h"
 
 namespace av {
@@ -257,6 +261,123 @@ class FailingFileOps final : public FileOps {
     return RealFileOps().FsyncDir(dir);
   }
 };
+
+/// The write(2) sizes of the writer's buffering rule for these appends:
+/// the buffer goes out when an append would fill it, an append of a whole
+/// buffer or more goes out on its own, and Commit sends the rest with the
+/// trailer.
+std::vector<size_t> ExpectedWrites(const std::vector<size_t>& appends,
+                                   bool checksum) {
+  constexpr size_t kBuffer = DurableFileWriter::kBufferBytes;
+  std::vector<size_t> writes;
+  size_t buffered = 0;
+  for (const size_t n : appends) {
+    if (buffered + n < kBuffer) {
+      buffered += n;
+      continue;
+    }
+    if (buffered > 0) writes.push_back(buffered);
+    buffered = 0;
+    if (n >= kBuffer) {
+      writes.push_back(n);
+    } else {
+      buffered = n;
+    }
+  }
+  if (checksum) buffered += kTrailerBytes;
+  if (buffered > 0) writes.push_back(buffered);
+  return writes;
+}
+
+TEST(DurableFileTest, RandomAppendSizesKeepWriteSizesAndChecksum) {
+  // Append sizes from 0 to past the 256 KiB buffer: many small ones, some
+  // that straddle a buffer boundary or exactly fill the buffer, and some
+  // larger than the whole buffer. The checksum folds each flushed buffer
+  // (and each oversized append); it must equal the one-shot hash, and the
+  // write(2) sizes must follow the buffering rule exactly.
+  constexpr size_t kBuffer = DurableFileWriter::kBufferBytes;
+  const ScopedTempDir dir = MakeTempDir();
+  Rng rng(20261019);
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const bool checksum = trial % 4 != 3;
+    std::vector<size_t> appends;
+    size_t total = 0;
+    size_t buffered = 0;  // what the writer holds unflushed
+    while (total < 3 * kBuffer) {
+      size_t n = 0;
+      switch (rng.Below(6)) {
+        case 0:
+          n = 0;
+          break;
+        case 1:
+        case 2:
+          n = static_cast<size_t>(rng.Range(1, 100));
+          break;
+        case 3:
+          n = static_cast<size_t>(rng.Range(1, 70000));
+          break;
+        case 4:  // within a few bytes of filling the buffer
+          n = static_cast<size_t>(std::max<int64_t>(
+              0, static_cast<int64_t>(kBuffer - buffered) + rng.Range(-2, 2)));
+          break;
+        default:
+          n = static_cast<size_t>(rng.Range(kBuffer - 2, 2 * kBuffer + 3));
+          break;
+      }
+      appends.push_back(n);
+      total += n;
+      buffered = buffered + n < kBuffer ? buffered + n : (n < kBuffer ? n : 0);
+    }
+    std::string payload(total, '\0');
+    for (char& c : payload) c = static_cast<char>(rng.Next());
+
+    const std::string path = dir.File("random.bin");
+    crashmc::OpRecorder ops(dir.path());
+    {
+      ScopedFileOps scoped(&ops);
+      DurableFileWriter w;
+      ASSERT_TRUE(w.Open(path, {.checksum = checksum, .sync = false}).ok());
+      size_t at = 0;
+      for (const size_t n : appends) {
+        ASSERT_TRUE(w.Append(payload.data() + at, n).ok());
+        at += n;
+      }
+      EXPECT_EQ(w.payload_bytes(), total);
+      ASSERT_TRUE(w.Commit().ok());
+    }
+    std::vector<size_t> writes;
+    for (const crashmc::DiskOp& op : ops.log()) {
+      if (op.kind == crashmc::OpKind::kWrite) writes.push_back(op.data.size());
+    }
+    EXPECT_EQ(writes, ExpectedWrites(appends, checksum));
+
+    auto bytes = ReadFileToString(path);
+    ASSERT_TRUE(bytes.ok());
+    if (!checksum) {
+      EXPECT_TRUE(*bytes == payload);
+      continue;
+    }
+    auto len = VerifyTrailer(*bytes);
+    ASSERT_TRUE(len.ok()) << len.status().message();
+    ASSERT_EQ(*len, total);
+    EXPECT_TRUE(std::string_view(*bytes).substr(0, total) == payload);
+    uint64_t digest = 0;
+    std::memcpy(&digest, bytes->data() + total + 8, sizeof(digest));
+    EXPECT_EQ(digest, PolyHash64(payload));
+  }
+}
+
+TEST(DurableFileTest, AppendBeforeOpenOrAfterCommitFails) {
+  const ScopedTempDir dir = MakeTempDir();
+  DurableFileWriter unopened;
+  EXPECT_EQ(unopened.Append("x").code(), StatusCode::kInternal);
+  DurableFileWriter w;
+  ASSERT_TRUE(w.Open(dir.File("done.bin")).ok());
+  ASSERT_TRUE(w.Append("x").ok());
+  ASSERT_TRUE(w.Commit().ok());
+  EXPECT_EQ(w.Append("y").code(), StatusCode::kInternal);
+}
 
 TEST(DurableFileTest, DirectoryFsyncUnsupportedIsBestEffort) {
   // EINVAL / ENOTSUP from the parent-dir fsync (network and overlay mounts

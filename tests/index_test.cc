@@ -4,9 +4,12 @@
 
 #include <algorithm>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -190,6 +193,155 @@ TEST(PatternIndexTest, NamesSurviveSaveLoadAndMerge) {
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(walked, sorted);
   EXPECT_FALSE(merged.LookupName(PolyHash64("absent")).has_value());
+}
+
+/// `n` distinct names shaped like the hard cases of the sorted walk: long
+/// shared prefixes (>= 48 bytes, as adjacent pattern names share), bytes
+/// that sort as unsigned (NUL, 0xFF) and names that are prefixes of other
+/// names; the empty name is always the first.
+std::vector<std::string> SortedWalkNames(size_t n, uint64_t seed) {
+  using namespace std::string_literals;
+  Rng rng(seed);
+  const std::vector<std::string> prefixes = {
+      "<digit>{4}-<digit>{2}-<digit>{2}T<digit>{2}:<digit>{2}:",
+      "<upper>{1}<lower>+<space>{1}<upper>{1}<lower>+<space>{1}<upper>",
+      "<digit>+\0<num>+<letter>{3}<alnum>+<symbol>{1}<digit>\0\0<any>"s,
+      std::string(48, 'x')};
+  const std::string alphabet = "<>{}+0123456789abcXYZ\0\xff"s;
+  std::vector<std::string> names;
+  std::set<std::string> seen;
+  const auto add = [&](std::string name) {
+    if (names.size() < n && seen.insert(name).second) {
+      names.push_back(std::move(name));
+    }
+  };
+  add("");
+  while (names.size() < n) {
+    std::string name = rng.Choice(prefixes);
+    const size_t tail = static_cast<size_t>(rng.Range(0, 14));
+    for (size_t i = 0; i < tail; ++i) {
+      name += alphabet[rng.Below(alphabet.size())];
+    }
+    // A name and its own prefixes, so the walk must order a name after
+    // every prefix of it.
+    if (rng.Chance(0.1)) add(name.substr(0, name.size() - tail / 2));
+    add(std::move(name));
+  }
+  return names;
+}
+
+template <typename T>
+void AppendLE(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+// The sorted walk sorts an index of up to this many entries as one bucket on
+// the calling thread, and a larger one as several buckets spread over the
+// walk's threads on a machine with more than one hardware thread
+// (src/index/pattern_index.cc).
+constexpr size_t kWalkBucketRows = 8192;
+
+// The sorted walk (ForEachSorted, and through it Save and every spill run)
+// is a sample sort over name ranges. Its order and the saved bytes must
+// equal a plain std::sort over std::string, whatever the index size: empty,
+// one bucket, and many buckets sorted by several threads.
+TEST(PatternIndexTest, SortedWalkMatchesStringSortReference) {
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3},
+                         size_t{200}, kWalkBucketRows, kWalkBucketRows + 1,
+                         size_t{20000}, size_t{45000}}) {
+    SCOPED_TRACE("entries " + std::to_string(n));
+    const std::vector<std::string> names = SortedWalkNames(n, 7700 + n);
+    PatternIndex idx;
+    std::map<std::string, PatternIndex::Entry> expected;
+    Rng rng(n);
+    for (const std::string& name : names) {
+      const int columns = 1 + static_cast<int>(rng.Below(3));
+      for (int c = 0; c < columns; ++c) {
+        const double impurity = rng.NextDouble();
+        idx.Add(name, impurity);
+        expected[name].sum_impurity += impurity;
+        expected[name].columns += 1;
+      }
+    }
+    ASSERT_EQ(idx.size(), n);
+
+    std::vector<std::string> walked;
+    idx.ForEachSorted([&](uint64_t key, const std::string& name,
+                          const PatternIndex::Entry& e) {
+      EXPECT_EQ(key, PolyHash64(name));
+      EXPECT_EQ(e.columns, expected[name].columns);
+      EXPECT_EQ(e.sum_impurity, expected[name].sum_impurity);
+      walked.push_back(name);
+    });
+    std::vector<std::string> sorted = names;
+    std::sort(sorted.begin(), sorted.end());
+    ASSERT_EQ(walked, sorted);
+
+    // AVIDX003 written out by hand in that order.
+    std::string payload("AVIDX003", 8);
+    AppendLE<uint64_t>(&payload, n);
+    for (const std::string& name : sorted) {
+      AppendLE<uint64_t>(&payload, PolyHash64(name));
+      AppendLE<uint32_t>(&payload, static_cast<uint32_t>(name.size()));
+      payload += name;
+      AppendLE<double>(&payload, expected[name].sum_impurity);
+      AppendLE<uint32_t>(&payload, expected[name].columns);
+    }
+    const std::string path = dir.File("walk.idx");
+    ASSERT_TRUE(idx.Save(path).ok());
+    auto file = ReadFileToString(path);
+    ASSERT_TRUE(file.ok());
+    auto len = VerifyTrailer(*file);
+    ASSERT_TRUE(len.ok()) << len.status().message();
+    EXPECT_TRUE(std::string_view(*file).substr(0, *len) == payload);
+
+    // A loaded index holds its names in file order; its walk and its save
+    // must come out the same.
+    auto loaded = PatternIndex::Load(path);
+    ASSERT_TRUE(loaded.ok());
+    const std::string again = dir.File("again.idx");
+    ASSERT_TRUE(loaded->Save(again).ok());
+    auto file_again = ReadFileToString(again);
+    ASSERT_TRUE(file_again.ok());
+    EXPECT_TRUE(*file_again == *file);
+  }
+}
+
+// Walks that run at once (an out-of-core build's spill runs) share one
+// budget of helper threads; each must still come out in the one order.
+TEST(PatternIndexTest, ConcurrentSortedWalksKeepTheirOrder) {
+  constexpr size_t kWalks = 4;
+  std::vector<PatternIndex> indexes(kWalks);
+  std::vector<std::vector<std::string>> sorted(kWalks);
+  for (size_t w = 0; w < kWalks; ++w) {
+    sorted[w] = SortedWalkNames(3 * kWalkBucketRows + 7 * w, 9100 + w);
+    for (const std::string& name : sorted[w]) indexes[w].Add(name, 0.5);
+    std::sort(sorted[w].begin(), sorted[w].end());
+  }
+  std::vector<std::vector<std::string>> walked(kWalks);
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < kWalks; ++w) {
+    threads.emplace_back([&, w] {
+      for (int round = 0; round < 3; ++round) {
+        walked[w].clear();
+        indexes[w].ForEachSorted(
+            [&](uint64_t, const std::string& name, const PatternIndex::Entry&) {
+              walked[w].push_back(name);
+            });
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (size_t w = 0; w < kWalks; ++w) EXPECT_EQ(walked[w], sorted[w]);
+}
+
+TEST(PatternIndexTest, GoldenIndexIsSavedThroughThreadedWalk) {
+  // IndexerTest.SavedIndexBytesMatchGolden pins the saved bytes of this
+  // index; with several buckets' worth of entries, it pins the threaded walk.
+  const PatternIndex golden =
+      BuildIndex(GenerateLake(EnterpriseLakeConfig(60, 7)), IndexerConfig{});
+  EXPECT_GT(golden.size(), 4 * kWalkBucketRows);
 }
 
 // Every write path that can meet a 64-bit key collision between distinct

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -56,17 +57,18 @@ class RuleLifecycleTest : public ::testing::Test {
   /// A lifecycle on a deterministic clock starting at t=1'000'000 ms.
   std::unique_ptr<RuleLifecycle> MakeLifecycle(ValidationService* service,
                                                RuleLifecycleOptions opts) {
-    now_ = std::make_shared<uint64_t>(1'000'000);
+    now_ = std::make_shared<std::atomic<uint64_t>>(1'000'000);
     auto now = now_;
-    opts.now_ms = [now] { return *now; };
+    opts.now_ms = [now] { return now->load(); };
     return std::make_unique<RuleLifecycle>(service, std::move(opts));
   }
 
+  /// The background scanner reads the clock while the test advances it.
   void AdvanceClock(uint64_t ms) { *now_ += ms; }
 
   static Corpus* corpus_;
   static PatternIndex* index_;
-  std::shared_ptr<uint64_t> now_;
+  std::shared_ptr<std::atomic<uint64_t>> now_;
 };
 
 Corpus* RuleLifecycleTest::corpus_ = nullptr;
@@ -93,7 +95,7 @@ TEST_F(RuleLifecycleTest, TrainStampsTtlMeta) {
   EXPECT_EQ(service->FindMeta("ip")->ttl_ms, 5'000u);
 
   // Rules installed outside the lifecycle carry no meta and never expire.
-  EXPECT_FALSE(RuleMeta{}.ExpiredAt(*now_ + (1u << 30)));
+  EXPECT_FALSE(RuleMeta{}.ExpiredAt(now_->load() + (1u << 30)));
 }
 
 TEST_F(RuleLifecycleTest, ScanRetrainsExpiredRulesOnly) {
@@ -118,7 +120,7 @@ TEST_F(RuleLifecycleTest, ScanRetrainsExpiredRulesOnly) {
   EXPECT_EQ(lifecycle->retrains_completed(), 1u);
   auto day = service->FindMeta("day");
   ASSERT_TRUE(day.has_value());
-  EXPECT_EQ(day->trained_at_ms, *now_);  // freshness restored
+  EXPECT_EQ(day->trained_at_ms, now_->load());  // freshness restored
   EXPECT_EQ(day->ttl_ms, 60'000u);       // TTL carried forward
   EXPECT_EQ(day->retrains, 1u);
   EXPECT_EQ(service->FindMeta("ip")->retrains, 0u);
@@ -250,7 +252,7 @@ TEST_F(RuleLifecycleTest, SaveLoadRoundTripsMeta) {
   }
 
   // A TTL loaded from disk keeps driving expiry in the new process.
-  EXPECT_TRUE(loaded.FindMeta("day")->ExpiredAt(*now_ + 200'000));
+  EXPECT_TRUE(loaded.FindMeta("day")->ExpiredAt(now_->load() + 200'000));
 }
 
 TEST_F(RuleLifecycleTest, MetaFreeSaveKeepsPreLifecycleBytes) {

@@ -587,7 +587,7 @@ TEST(TableSessionTest, MicroBatchTableFeedsEqualWholeTableRun) {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrency: wait-free reads under writer churn, parallel TrainAll.
+// Concurrency: snapshot reads under writer churn, parallel TrainAll.
 
 TEST(ValidationServiceConcurrencyTest, ConcurrentValidateUnderWriterChurn) {
   ValidationService service(nullptr, AutoValidateOptions{}, 1);
