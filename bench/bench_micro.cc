@@ -300,6 +300,32 @@ void BM_BuildIndexSpill(benchmark::State& state) {
 }
 BENCHMARK(BM_BuildIndexSpill)->UseRealTime();
 
+/// Restart cost of the BM_BuildIndexSmall index: PatternIndex::Load of its
+/// saved AVIDX003 file (read, checksum, frame, check and insert), which
+/// every avserved start pays before its first verdict.
+void BM_IndexLoad(benchmark::State& state) {
+  IndexerConfig cfg;
+  cfg.num_threads = 1;
+  const PatternIndex built =
+      BuildIndex(GenerateLake(EnterpriseLakeConfig(150, 7)), cfg);
+  auto dir = ScopedTempDir::Create();
+  if (!dir.ok() || !built.Save(dir->File("small.idx")).ok()) {
+    state.SkipWithError("cannot save the index");
+    return;
+  }
+  for (auto _ : state) {
+    auto loaded = PatternIndex::Load(dir->File("small.idx"));
+    if (!loaded.ok()) {
+      state.SkipWithError("cannot load the index");
+      break;
+    }
+    benchmark::DoNotOptimize(loaded->size());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(built.size()));
+}
+BENCHMARK(BM_IndexLoad)->UseRealTime();
+
 /// The same 150-column lake materialized on disk in `format`, indexed
 /// through the format registry (listing + detection + parse + chunking).
 /// The delta vs BM_BuildIndexSmall is the end-to-end cost of that input

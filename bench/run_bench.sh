@@ -22,7 +22,7 @@ TMP_OFF150="$(mktemp)"
 TMP_OFF800="$(mktemp)"
 trap 'rm -f "$TMP_MICRO" "$TMP_OFF150" "$TMP_OFF800"' EXIT
 
-FILTER='BM_MatchColumnScalar|BM_MatchColumnBatched|BM_Match$|BM_Tokenize$|BM_TokenizeInto|BM_TokenCount|BM_TokenizeMixedColumn|BM_TokenizedColumnBuild|BM_PatternKey|BM_IndexLookup|BM_IndexLookupByKey|BM_IndexColumn|BM_BuildIndexSmall|BM_BuildIndexSpill|BM_TrainFmdv$|BM_ValidateColumn|BM_ValidateColumnView|BM_ServiceValidateThroughput|BM_ServiceValidateAll|BM_ServiceValidateNLoop|BM_ServiceValidateStreamLoop|BM_ServerRoundTrip|BM_ServerSaturation|BM_BuildIndexJsonl|BM_BuildIndexAvcol'
+FILTER='BM_MatchColumnScalar|BM_MatchColumnBatched|BM_Match$|BM_Tokenize$|BM_TokenizeInto|BM_TokenCount|BM_TokenizeMixedColumn|BM_TokenizedColumnBuild|BM_PatternKey|BM_IndexLookup|BM_IndexLookupByKey|BM_IndexColumn|BM_BuildIndexSmall|BM_BuildIndexSpill|BM_IndexLoad|BM_TrainFmdv$|BM_ValidateColumn|BM_ValidateColumnView|BM_ServiceValidateThroughput|BM_ServiceValidateAll|BM_ServiceValidateNLoop|BM_ServiceValidateStreamLoop|BM_ServerRoundTrip|BM_ServerSaturation|BM_BuildIndexJsonl|BM_BuildIndexAvcol'
 
 "$BUILD_DIR/bench_micro" \
   --benchmark_filter="$FILTER" \

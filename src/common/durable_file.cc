@@ -1,6 +1,7 @@
 #include "common/durable_file.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,8 +11,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "common/file_ops.h"
+#include "common/parallel_for.h"
 
 namespace av {
 
@@ -35,6 +38,99 @@ Status SyncParentDir(const std::string& path) {
   }
   return Status::OK();
 }
+
+/// The unit of a pieced checksum or read: one ParallelFor index each.
+constexpr size_t kPieceBytes = size_t{1} << 20;
+
+/// Pieces that cover `bytes`: at least one, the last possibly short.
+size_t Pieces(size_t bytes) {
+  return std::max<size_t>(1, (bytes + kPieceBytes - 1) / kPieceBytes);
+}
+
+/// PolyHash64(s), hashed in kPieceBytes pieces on the ParallelFor helpers
+/// and folded in order (PolyPow in common/hash.h). A string of one piece or
+/// less is hashed on the calling thread.
+uint64_t PiecedPolyHash64(std::string_view s) {
+  const size_t pieces = Pieces(s.size());
+  std::vector<uint64_t> partial(pieces);
+  ParallelFor(pieces, pieces, [&](size_t i) {
+    partial[i] = PolyHashUpdate(0, s.substr(i * kPieceBytes, kPieceBytes));
+  });
+  const uint64_t full_piece = PolyPow(kPieceBytes);
+  uint64_t h = kPolySeed;
+  for (size_t i = 0; i + 1 < pieces; ++i) h = h * full_piece + partial[i];
+  return h * PolyPow(s.size() - (pieces - 1) * kPieceBytes) + partial.back();
+}
+
+/// A read-only descriptor of a regular file, closed on destruction.
+class RegularFile {
+ public:
+  RegularFile() = default;
+  RegularFile(const RegularFile&) = delete;
+  RegularFile& operator=(const RegularFile&) = delete;
+  ~RegularFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  /// kIOError unless `path` opens and is a regular file: an ifstream opens
+  /// a directory too and reports its size as 2^63 - 1, which a reader would
+  /// then try to allocate.
+  Status Open(const std::string& path) {
+    path_ = path;
+    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd_ < 0) return Status::IOError(ErrnoMessage("cannot open", path));
+    struct stat st;
+    if (::fstat(fd_, &st) != 0) {
+      return Status::IOError(ErrnoMessage("cannot stat", path));
+    }
+    if (!S_ISREG(st.st_mode)) {
+      return Status::IOError("cannot read " + path + ": not a regular file");
+    }
+    size_ = static_cast<size_t>(st.st_size);
+    return Status::OK();
+  }
+
+  /// Size at Open.
+  size_t size() const { return size_; }
+
+  /// Reads bytes [0, size()) into `dst`, kPieceBytes at a time on the
+  /// ParallelFor helpers. A file that shrank since Open is a kIOError.
+  Status ReadAll(char* dst) const {
+    const size_t pieces = Pieces(size_);
+    // Per piece: 0, the errno of a failed pread, or -1 for an early end.
+    std::vector<int> errors(pieces);
+    ParallelFor(pieces, pieces, [&](size_t i) {
+      size_t off = i * kPieceBytes;
+      const size_t end = std::min(size_, off + kPieceBytes);
+      while (off < end) {
+        const ssize_t got =
+            ::pread(fd_, dst + off, end - off, static_cast<off_t>(off));
+        if (got < 0 && errno == EINTR) continue;
+        if (got <= 0) {
+          errors[i] = got < 0 ? errno : -1;
+          return;
+        }
+        off += static_cast<size_t>(got);
+      }
+    });
+    for (const int err : errors) {
+      if (err > 0) {
+        return Status::IOError("cannot read " + path_ + ": " +
+                               std::strerror(err));
+      }
+      if (err < 0) {
+        return Status::IOError("cannot read " + path_ +
+                               ": the file shrank while it was read");
+      }
+    }
+    return Status::OK();
+  }
+
+ private:
+  int fd_ = -1;
+  size_t size_ = 0;
+  std::string path_;
+};
 
 }  // namespace
 
@@ -167,7 +263,7 @@ Result<uint64_t> VerifyTrailer(std::string_view data) {
   if (len != data.size() - kTrailerBytes) {
     return Status::Corruption("checksum trailer length mismatch");
   }
-  if (PolyHash64(data.substr(0, len)) != digest) {
+  if (PiecedPolyHash64(data.substr(0, len)) != digest) {
     return Status::Corruption("payload checksum mismatch");
   }
   return len;
@@ -214,17 +310,22 @@ Result<uint64_t> VerifyTrailerFile(const std::string& path) {
   return len;
 }
 
+Result<FileImage> ReadFileImage(const std::string& path) {
+  RegularFile file;
+  AV_RETURN_NOT_OK(file.Open(path));
+  FileImage image;
+  // Default-initialized: the read is the first write to every page.
+  image.data.reset(new char[file.size()]);
+  image.size = file.size();
+  AV_RETURN_NOT_OK(file.ReadAll(image.data.get()));
+  return image;
+}
+
 Result<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  std::string data;
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IOError("cannot stat " + path);
-  data.resize(static_cast<size_t>(size));
-  in.seekg(0);
-  in.read(data.data(), size);
-  if (!in) return Status::IOError("cannot read " + path);
+  RegularFile file;
+  AV_RETURN_NOT_OK(file.Open(path));
+  std::string data(file.size(), '\0');
+  AV_RETURN_NOT_OK(file.ReadAll(data.data()));
   return data;
 }
 

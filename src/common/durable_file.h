@@ -173,13 +173,28 @@ class DurableFileWriter {
 /// Verifies the trailer frame of an in-memory file image. Returns the
 /// payload length (always `data.size() - 24` when OK); kCorruption when the
 /// frame is missing, truncated, inconsistent, or the checksum mismatches.
+/// A payload of more than 1 MiB is hashed in 1 MiB pieces on the
+/// ParallelFor helpers (common/parallel_for.h).
 Result<uint64_t> VerifyTrailer(std::string_view data);
 
 /// Verifies the trailer frame of a file by streaming it (constant memory).
 /// kIOError when the file cannot be read, kCorruption as above.
 Result<uint64_t> VerifyTrailerFile(const std::string& path);
 
-/// Slurps a whole file. kIOError when it cannot be opened or read.
+/// A whole file in memory.
+struct FileImage {
+  std::unique_ptr<char[]> data;
+  size_t size = 0;
+  std::string_view view() const { return {data.get(), size}; }
+};
+
+/// Reads a whole file in 1 MiB pieces on the ParallelFor helpers
+/// (common/parallel_for.h), into a buffer that is not zeroed first.
+/// kIOError when it cannot be opened or read, or is not a regular file.
+Result<FileImage> ReadFileImage(const std::string& path);
+
+/// Slurps a whole file into a string, read as ReadFileImage reads. kIOError
+/// when it cannot be opened or read, or is not a regular file.
 Result<std::string> ReadFileToString(const std::string& path);
 
 }  // namespace av

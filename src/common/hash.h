@@ -51,6 +51,18 @@ inline uint64_t PolyHashUpdate(uint64_t h, std::string_view s) {
   return h;
 }
 
+/// kPolyMul^n mod 2^64. The fold is affine in h, so
+/// PolyHashUpdate(h, s) == h * PolyPow(s.size()) + PolyHashUpdate(0, s):
+/// pieces of a string hashed apart, each from 0, fold in order into the
+/// hash of the whole.
+inline uint64_t PolyPow(uint64_t n) {
+  uint64_t pow = 1;
+  for (uint64_t base = kPolyMul; n > 0; n >>= 1, base *= base) {
+    if (n & 1) pow *= base;
+  }
+  return pow;
+}
+
 /// 64-bit polynomial hash of a byte string: PolyHashUpdate from kPolySeed.
 inline uint64_t PolyHash64(std::string_view s) {
   return PolyHashUpdate(kPolySeed, s);

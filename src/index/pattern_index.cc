@@ -1,18 +1,16 @@
 #include "index/pattern_index.h"
 
-#include <pthread.h>
-
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/parallel_for.h"
 
 namespace av {
 
@@ -55,9 +53,12 @@ namespace {
 constexpr char kMagic[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '3'};
 /// Previous format, still readable (identical payload, no trailer).
 constexpr char kMagicV2[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '2'};
-/// Smallest possible on-disk entry: key (8) + length (4) + empty string (0)
-/// + sum_impurity (8) + columns (4).
-constexpr uint64_t kMinEntryBytes = 24;
+/// Bytes of an on-disk entry around its name: key and length before,
+/// sum_impurity and columns after.
+constexpr size_t kEntryHeadBytes = sizeof(uint64_t) + sizeof(uint32_t);
+constexpr size_t kEntryTailBytes = sizeof(double) + sizeof(uint32_t);
+/// Smallest possible on-disk entry: one with an empty name.
+constexpr uint64_t kMinEntryBytes = kEntryHeadBytes + kEntryTailBytes;
 }  // namespace
 
 void PatternIndex::InsertAggregate(uint64_t key, const std::string& name,
@@ -153,69 +154,6 @@ constexpr size_t kMaxBuckets = 4096;
 /// Sampled names per bucket: cutting the sorted sample every kOversample
 /// names keeps each bucket within a small factor of the mean.
 constexpr size_t kOversample = 32;
-
-/// Helper threads no sorted walk holds: every walk in the process draws
-/// from one budget of hardware_concurrency() - 1 (its calling thread works
-/// too), so walks that run at once, such as the spill runs of an
-/// out-of-core build, split the machine instead of each assuming all of it.
-std::atomic<size_t>& FreeWalkHelpers() {
-  static std::atomic<size_t> free_helpers{
-      std::max<size_t>(1, std::thread::hardware_concurrency()) - 1};
-  return free_helpers;
-}
-
-/// Runs fn(i) for every i in [0, count) on the calling thread and up to
-/// `max_threads - 1` helper threads drawn from FreeWalkHelpers(), each
-/// taking the next unclaimed i.
-///
-/// `fn` must not allocate, and the helpers are bare POSIX threads rather
-/// than a ThreadPool's workers or std::threads, so a helper never calls
-/// malloc or free. glibc attaches a thread to a malloc arena the first time
-/// it does, preferring one a finished thread left behind: in a process that
-/// alternates builds and saves, the walk's threads then hold the last
-/// build's arenas, freed pages and all, and the next build allocates from
-/// fresh ones. On the benchmark (4-vCPU Xeon) a ThreadPool per walk raised
-/// the out-of-core peak RSS from 183 to 285 MiB, one process-wide
-/// ThreadPool raised `lake_index`'s from 258 to 296 MiB, and std::threads,
-/// which free their start state as they exit, still raised the out-of-core
-/// median by 12 MiB.
-void ParallelFor(size_t max_threads, size_t count,
-                 const std::function<void(size_t)>& fn) {
-  struct Work {
-    std::atomic<size_t> next{0};
-    size_t count;
-    const std::function<void(size_t)>* fn;
-    void Run() {
-      size_t i;
-      while ((i = next.fetch_add(1, std::memory_order_relaxed)) < count) {
-        (*fn)(i);
-      }
-    }
-  } work{{}, count, &fn};
-  const auto run = [](void* w) -> void* {
-    static_cast<Work*>(w)->Run();
-    return nullptr;
-  };
-  const size_t want = std::max<size_t>(1, std::min(max_threads, count)) - 1;
-  std::atomic<size_t>& free_helpers = FreeWalkHelpers();
-  size_t free = free_helpers.load(std::memory_order_relaxed);
-  size_t taken = std::min(free, want);
-  while (taken > 0 && !free_helpers.compare_exchange_weak(
-                          free, free - taken, std::memory_order_relaxed)) {
-    taken = std::min(free, want);
-  }
-  std::vector<pthread_t> helpers;
-  helpers.reserve(taken);
-  for (size_t t = 0; t < taken; ++t) {
-    pthread_t helper;
-    // No thread to spare: the caller runs what is left.
-    if (pthread_create(&helper, nullptr, run, &work) != 0) break;
-    helpers.push_back(helper);
-  }
-  work.Run();
-  for (const pthread_t helper : helpers) pthread_join(helper, nullptr);
-  free_helpers.fetch_add(taken, std::memory_order_relaxed);
-}
 }  // namespace
 
 std::vector<PatternIndex::SortedRow> PatternIndex::SortedRows() const {
@@ -326,14 +264,62 @@ Status PatternIndex::Save(const std::string& path) const {
 }
 
 Result<PatternIndex> PatternIndex::Load(const std::string& path) {
-  auto data = ReadFileToString(path);
+  auto data = ReadFileImage(path);
   if (!data.ok()) return data.status();
-  auto idx = LoadFromBuffer(*data);
+  auto idx = LoadFromBuffer(data->view());
   if (!idx.ok()) {
     return Status(idx.status().code(), idx.status().message() + ": " + path);
   }
   return idx;
 }
+
+namespace {
+/// How far ahead of its turn the per-shard insert loop prefetches an
+/// entry's bytes, and the table slot its key lands in (read from the entry
+/// bytes fetched kEntryLookahead - kSlotLookahead turns before).
+constexpr size_t kEntryLookahead = 16;
+constexpr size_t kSlotLookahead = 8;
+
+/// What stopped a load, and the payload offset of the entry it stopped at
+/// (for kUnderReported, of the bytes after the last entry).
+enum class LoadError : uint8_t {
+  kNone,
+  kTruncated,
+  kBadLength,
+  kKeyMismatch,
+  kDuplicate,
+  kArenaFull,
+  kUnderReported,
+};
+struct LoadStop {
+  size_t offset = SIZE_MAX;
+  LoadError error = LoadError::kNone;
+};
+
+Status LoadErrorStatus(LoadError error) {
+  switch (error) {
+    case LoadError::kNone:
+      break;
+    case LoadError::kTruncated:
+      return Status::Corruption("truncated index entry");
+    case LoadError::kBadLength:
+      return Status::Corruption("bad key length in index");
+    case LoadError::kKeyMismatch:
+      return Status::Corruption("key/string mismatch in index");
+    case LoadError::kDuplicate:
+      // The writer emits each key once. A repeat is either a duplicated
+      // entry or a second name colliding on the key; neither may be summed
+      // into (or abort) the loaded index.
+      return Status::Corruption("duplicate key in index");
+    case LoadError::kArenaFull:
+      return Status::ResourceExhausted("index shard names exceed 4 GiB");
+    case LoadError::kUnderReported:
+      // Slack after the entries the count covers: the trailer cannot tell.
+      return Status::Corruption("index count under-reports entries");
+  }
+  return Status::OK();
+}
+}  // namespace
 
 Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   std::string_view payload = data;
@@ -349,8 +335,9 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
     return Status::Corruption("bad index magic");
   }
   // From here both versions share one payload layout: magic, count, entries.
-  const char* p = payload.data() + sizeof(kMagic);
-  const char* end = payload.data() + payload.size();
+  const char* const begin = payload.data();
+  const char* const end = begin + payload.size();
+  const char* p = begin + sizeof(kMagic);
   uint64_t n = 0;
   if (static_cast<size_t>(end - p) < sizeof(n)) {
     return Status::Corruption("truncated index header");
@@ -362,62 +349,111 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   if (n > static_cast<uint64_t>(end - p) / kMinEntryBytes) {
     return Status::Corruption("entry count exceeds file size");
   }
-  // Size each shard for its share of n (keys are uniform over shards) plus
-  // headroom for skew, and each arena for its share of the names: an
-  // entry's arena record (4-byte length + name) is its file record minus
-  // the key and the stats.
-  const size_t per_shard = static_cast<size_t>(n / kNumShards);
-  const uint64_t name_bytes = static_cast<uint64_t>(end - p) -
-                              (kMinEntryBytes - sizeof(uint32_t)) * n;
-  const size_t arena_per_shard = static_cast<size_t>(name_bytes / kNumShards);
-  PatternIndex idx;
-  for (Shard& shard : idx.shards_) {
-    shard.stats.reserve(per_shard + per_shard / 8 + 16);
-    shard.names.reserve(arena_per_shard + arena_per_shard / 8 + 64);
+
+  // Pass 1, on the calling thread in file order: frame each entry and file
+  // its offset under its key's shard, counting the bytes its name takes in
+  // the shard's arena (4-byte length + name). Framing stops at the first
+  // entry that does not frame; the entries before it still go through
+  // pass 2, and any error there lies earlier in the file.
+  std::array<std::vector<size_t>, kNumShards> offsets;
+  std::array<uint64_t, kNumShards> arena_bytes{};
+  // Keys spread evenly over the shards; a shard past its share just grows.
+  for (std::vector<size_t>& o : offsets) {
+    o.reserve(static_cast<size_t>(n / kNumShards + n / 64 + 16));
   }
+  LoadStop stop;
   for (uint64_t i = 0; i < n; ++i) {
+    const size_t at = static_cast<size_t>(p - begin);
     uint64_t key = 0;
     uint32_t len = 0;
-    if (static_cast<size_t>(end - p) < sizeof(key) + sizeof(len)) {
-      return Status::Corruption("truncated index entry");
+    if (static_cast<size_t>(end - p) < kEntryHeadBytes) {
+      stop = {at, LoadError::kTruncated};
+      break;
     }
     std::memcpy(&key, p, sizeof(key));
-    p += sizeof(key);
-    std::memcpy(&len, p, sizeof(len));
-    p += sizeof(len);
+    std::memcpy(&len, p + sizeof(key), sizeof(len));
     if (len > (1u << 24)) {
-      return Status::Corruption("bad key length in index");
+      stop = {at, LoadError::kBadLength};
+      break;
     }
-    Entry e;
-    if (static_cast<size_t>(end - p) <
-        len + sizeof(e.sum_impurity) + sizeof(e.columns)) {
-      return Status::Corruption("truncated index entry");
+    if (static_cast<size_t>(end - p) - kEntryHeadBytes <
+        len + kEntryTailBytes) {
+      stop = {at, LoadError::kTruncated};
+      break;
     }
-    const std::string_view name(p, len);
-    p += len;
-    std::memcpy(&e.sum_impurity, p, sizeof(e.sum_impurity));
-    p += sizeof(e.sum_impurity);
-    std::memcpy(&e.columns, p, sizeof(e.columns));
-    p += sizeof(e.columns);
-    if (key != PolyHash64(name)) {
-      return Status::Corruption("key/string mismatch in index");
-    }
-    // The writer emits each key once. A repeat is either a duplicated
-    // entry or a second name colliding on the key; neither may be summed
-    // into (or abort) the loaded index.
-    Shard& shard = idx.ShardFor(key);
-    auto [slot, inserted] = shard.stats.TryEmplace(key);
-    if (!inserted) return Status::Corruption("duplicate key in index");
-    if (!shard.names.Fits(len)) {
-      return Status::ResourceExhausted("index shard names exceed 4 GiB");
-    }
-    slot->name = shard.names.Append(name);
-    slot->sum_impurity = e.sum_impurity;
-    slot->columns = e.columns;
+    offsets[ShardOf(key)].push_back(at);
+    arena_bytes[ShardOf(key)] += sizeof(uint32_t) + len;
+    p += kEntryHeadBytes + len + kEntryTailBytes;
   }
-  // The entries must end where the payload does: slack means the count
-  // under-reports what was written (the trailer cannot tell).
-  if (p != end) return Status::Corruption("index count under-reports entries");
+  if (stop.error == LoadError::kNone && p != end) {
+    stop = {static_cast<size_t>(p - begin), LoadError::kUnderReported};
+  }
+
+  // Every table and arena sized exactly, so pass 2 allocates nothing.
+  PatternIndex idx;
+  for (size_t s = 0; s < kNumShards; ++s) {
+    idx.shards_[s].stats.reserve(offsets[s].size());
+    idx.shards_[s].names.reserve(static_cast<size_t>(
+        std::min<uint64_t>(arena_bytes[s], NameArena::kMaxBytes)));
+  }
+
+  // Pass 2, one ParallelFor index per shard, each shard's entries in file
+  // order: check the key, insert, copy the name. A shard stops at its first
+  // error; the load reports the error at the smallest offset, which is the
+  // one a single pass over the entries in file order meets first. An image
+  // of one walk bucket or less loads on the calling thread.
+  std::array<LoadStop, kNumShards> shard_stop;
+  const size_t threads = std::clamp<size_t>(
+      static_cast<size_t>((n + kRowsPerBucket - 1) / kRowsPerBucket), 1,
+      kNumShards);
+  ParallelFor(threads, kNumShards, [&](size_t s) {
+    Shard& shard = idx.shards_[s];
+    const std::vector<size_t>& at = offsets[s];
+    for (size_t j = 0; j < at.size(); ++j) {
+      // Pipelined like U64FlatMap::ConsumePipelined: a shard's entries lie
+      // ~16 entries apart in the file and its keys land anywhere in its
+      // table, so both are fetched well before their turn.
+      if (j + kEntryLookahead < at.size()) {
+        const char* ahead = begin + at[j + kEntryLookahead];
+        __builtin_prefetch(ahead);
+        __builtin_prefetch(ahead + 64);
+      }
+      if (j + kSlotLookahead < at.size()) {
+        uint64_t ahead_key = 0;
+        std::memcpy(&ahead_key, begin + at[j + kSlotLookahead],
+                    sizeof(ahead_key));
+        shard.stats.Prefetch(ahead_key);
+      }
+      const char* e = begin + at[j];
+      uint64_t key = 0;
+      uint32_t len = 0;
+      std::memcpy(&key, e, sizeof(key));
+      std::memcpy(&len, e + sizeof(key), sizeof(len));
+      const std::string_view name(e + kEntryHeadBytes, len);
+      if (key != PolyHash64(name)) {
+        shard_stop[s] = {at[j], LoadError::kKeyMismatch};
+        return;
+      }
+      auto [slot, inserted] = shard.stats.TryEmplace(key);
+      if (!inserted) {
+        shard_stop[s] = {at[j], LoadError::kDuplicate};
+        return;
+      }
+      if (!shard.names.Fits(len)) {
+        shard_stop[s] = {at[j], LoadError::kArenaFull};
+        return;
+      }
+      slot->name = shard.names.Append(name);
+      const char* stats = name.data() + len;
+      std::memcpy(&slot->sum_impurity, stats, sizeof(slot->sum_impurity));
+      std::memcpy(&slot->columns, stats + sizeof(slot->sum_impurity),
+                  sizeof(slot->columns));
+    }
+  });
+  for (const LoadStop& s : shard_stop) {
+    if (s.offset < stop.offset) stop = s;
+  }
+  if (stop.error != LoadError::kNone) return LoadErrorStatus(stop.error);
   return idx;
 }
 

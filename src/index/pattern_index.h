@@ -147,10 +147,14 @@ class PatternIndex {
   Status Save(const std::string& path) const;
   /// Reads AVIDX003 (trailer-verified) and, for compatibility, untrailed
   /// AVIDX002 files. Rejects torn/corrupt input, including any key that
-  /// appears twice, with kCorruption.
+  /// appears twice, with kCorruption, and a path that is not a regular
+  /// file with kIOError.
   static Result<PatternIndex> Load(const std::string& path);
   /// Load from an in-memory file image (the fuzz-harness entry point; Load
-  /// is a file slurp plus this).
+  /// is ReadFileImage plus this). An image of more than 8192 entries is
+  /// checked and inserted shard by shard on the ParallelFor helpers
+  /// (common/parallel_for.h); a corrupt one fails with the error of its
+  /// first failing entry in file order, whatever the thread count.
   static Result<PatternIndex> LoadFromBuffer(std::string_view data);
 
   /// In-memory footprint in bytes: every table slot plus the name bytes
@@ -158,6 +162,12 @@ class PatternIndex {
   uint64_t ApproxBytes() const;
 
  private:
+  /// WriteSpillRun (index/spill.h) walks SortedRows() itself, so a spill
+  /// run writes each name straight from the arena: no per-row string or
+  /// callback, as ForEachSorted has.
+  friend Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
+                                        const std::string& path);
+
   /// Aborts with a diagnostic if `stored` and `fresh` differ (64-bit key
   /// collision between distinct patterns — unrecoverable stat corruption).
   static void CheckNoCollision(uint64_t key, std::string_view stored,

@@ -38,19 +38,21 @@ Status SpillRunWriter::Open(const std::string& path) {
   return Status::OK();
 }
 
-Status SpillRunWriter::Append(const SpillEntry& entry) {
+Status SpillRunWriter::Append(uint64_t key, std::string_view name,
+                              double sum_impurity, uint32_t columns) {
   if (!open_) return Status::Internal("spill writer not open");
-  if (count_ > 0 && entry.name <= last_name_) {
-    return Status::Internal("spill entries out of order: \"" + entry.name +
-                            "\" after \"" + last_name_ + "\"");
+  if (count_ > 0 && name <= last_name_) {
+    return Status::Internal("spill entries out of order: \"" +
+                            std::string(name) + "\" after \"" + last_name_ +
+                            "\"");
   }
-  AV_RETURN_NOT_OK(out_.AppendPod(entry.key));
-  const uint32_t len = static_cast<uint32_t>(entry.name.size());
+  AV_RETURN_NOT_OK(out_.AppendPod(key));
+  const uint32_t len = static_cast<uint32_t>(name.size());
   AV_RETURN_NOT_OK(out_.AppendPod(len));
-  AV_RETURN_NOT_OK(out_.Append(entry.name.data(), len));
-  AV_RETURN_NOT_OK(out_.AppendPod(entry.sum_impurity));
-  AV_RETURN_NOT_OK(out_.AppendPod(entry.columns));
-  last_name_ = entry.name;
+  AV_RETURN_NOT_OK(out_.Append(name.data(), len));
+  AV_RETURN_NOT_OK(out_.AppendPod(sum_impurity));
+  AV_RETURN_NOT_OK(out_.AppendPod(columns));
+  last_name_.assign(name);
   ++count_;
   return Status::OK();
 }
@@ -68,18 +70,10 @@ Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
                                const std::string& path) {
   SpillRunWriter writer;
   AV_RETURN_NOT_OK(writer.Open(path));
-  Status st = Status::OK();
-  SpillEntry entry;  // reused, so its name keeps its capacity across rows
-  chunk.ForEachSorted([&](uint64_t key, const std::string& name,
-                          const PatternIndex::Entry& e) {
-    if (!st.ok()) return;
-    entry.key = key;
-    entry.name = name;
-    entry.sum_impurity = e.sum_impurity;
-    entry.columns = e.columns;
-    st = writer.Append(entry);
-  });
-  AV_RETURN_NOT_OK(st);
+  for (const PatternIndex::SortedRow& row : chunk.SortedRows()) {
+    AV_RETURN_NOT_OK(writer.Append(row.key, row.name, row.stats->sum_impurity,
+                                   row.stats->columns));
+  }
   AV_RETURN_NOT_OK(writer.Finish());
   return writer.bytes_written();
 }

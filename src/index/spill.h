@@ -30,6 +30,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/durable_file.h"
@@ -54,7 +55,11 @@ struct SpillEntry {
 class SpillRunWriter {
  public:
   Status Open(const std::string& path);
-  Status Append(const SpillEntry& entry);
+  Status Append(uint64_t key, std::string_view name, double sum_impurity,
+                uint32_t columns);
+  Status Append(const SpillEntry& entry) {
+    return Append(entry.key, entry.name, entry.sum_impurity, entry.columns);
+  }
   Status Finish();
 
   uint64_t entries() const { return count_; }

@@ -227,6 +227,73 @@ TEST(ReadFileToStringTest, MissingFileIsIOError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIOError);
 }
 
+TEST(ReadFileToStringTest, DirectoryIsIOError) {
+  // A directory opens for reading, but it has no bytes to read: a reader
+  // that took its stream size (2^63 - 1) would try to allocate that.
+  ScopedTempDir dir = MakeTempDir();
+  auto r = ReadFileToString(dir.path());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
+  auto image = ReadFileImage(dir.path());
+  EXPECT_EQ(image.status().code(), StatusCode::kIOError);
+}
+
+/// The trailer checksum folded one byte at a time, as the format defines
+/// it (durable_file.h).
+uint64_t ByteAtATimeFold(std::string_view s) {
+  uint64_t h = kPolySeed;
+  for (const unsigned char c : s) h = h * kPolyMul + c;
+  return h;
+}
+
+// VerifyTrailer hashes a payload of more than one 1 MiB piece in pieces on
+// the ParallelFor helpers and folds the pieces in order; the file readers
+// read in the same pieces. Whatever the size, the digest must be the
+// byte-at-a-time fold, a one-bit flip in any piece must fail it, and both
+// readers must return the file's bytes.
+TEST(DurableFileTest, PiecedChecksumMatchesByteAtATimeFold) {
+  constexpr size_t kPiece = size_t{1} << 20;  // src/common/durable_file.cc
+  ScopedTempDir dir = MakeTempDir();
+  Rng rng(18);
+  for (const size_t size :
+       {size_t{0}, size_t{1}, kPiece - 1, kPiece, kPiece + 1, 3 * kPiece + 7,
+        8 * kPiece + 4099}) {
+    SCOPED_TRACE("payload bytes " + std::to_string(size));
+    std::string image(size, '\0');
+    for (char& c : image) c = static_cast<char>(rng.Below(256));
+    const uint64_t len = size;
+    const uint64_t digest = ByteAtATimeFold(image);
+    image.append(reinterpret_cast<const char*>(&len), sizeof(len));
+    image.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+    image.append(kTrailerMagic, sizeof(kTrailerMagic));
+    auto verified = VerifyTrailer(image);
+    ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+    EXPECT_EQ(*verified, size);
+
+    const std::string path = dir.File("pieced.bin");
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      out.write(image.data(), static_cast<std::streamsize>(image.size()));
+    }
+    auto read = ReadFileToString(path);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_TRUE(*read == image);
+    auto read_image = ReadFileImage(path);
+    ASSERT_TRUE(read_image.ok()) << read_image.status().ToString();
+    EXPECT_TRUE(read_image->view() == image);
+
+    if (size == 0) continue;
+    const size_t pieces = (size + kPiece - 1) / kPiece;
+    for (const size_t piece : {size_t{0}, pieces / 2, pieces - 1}) {
+      const size_t at = std::min(size - 1, piece * kPiece + rng.Below(kPiece));
+      std::string flipped = image;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.Below(8)));
+      auto bad = VerifyTrailer(flipped);
+      ASSERT_FALSE(bad.ok()) << "bit flipped at " << at;
+      EXPECT_EQ(bad.status().message(), "payload checksum mismatch");
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Syscall-failure paths, reached through the FileOps seam (common/file_ops.h)
 // — the same link seam the crash-state model checker records through.

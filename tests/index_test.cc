@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -103,6 +106,21 @@ std::pair<std::string, std::string> CollidingNames() {
   return {a, b};
 }
 
+template <typename T>
+void AppendLE(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// `payload` framed by a trailer that matches it.
+std::string Restamped(std::string payload) {
+  const uint64_t len = payload.size();
+  const uint64_t digest = PolyHash64(payload);
+  AppendLE(&payload, len);
+  AppendLE(&payload, digest);
+  payload.append(kTrailerMagic, sizeof(kTrailerMagic));
+  return payload;
+}
+
 /// An AVIDX003 file image holding one (0.5, 3) entry per name, in the given
 /// order, each keyed by PolyHash64 of its name, under a header that claims
 /// `count` entries and framed by a valid trailer: only the entry-level
@@ -110,23 +128,15 @@ std::pair<std::string, std::string> CollidingNames() {
 std::string IndexImage(const std::vector<std::string>& names,
                        std::optional<uint64_t> count = std::nullopt) {
   std::string file("AVIDX003", 8);
-  const auto put = [&file](const auto& v) {
-    file.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put(count.value_or(names.size()));
+  AppendLE<uint64_t>(&file, count.value_or(names.size()));
   for (const std::string& name : names) {
-    put(PolyHash64(name));
-    put(static_cast<uint32_t>(name.size()));
+    AppendLE<uint64_t>(&file, PolyHash64(name));
+    AppendLE<uint32_t>(&file, static_cast<uint32_t>(name.size()));
     file += name;
-    put(0.5);
-    put(uint32_t{3});
+    AppendLE<double>(&file, 0.5);
+    AppendLE<uint32_t>(&file, 3);
   }
-  const uint64_t len = file.size();
-  const uint64_t digest = PolyHash64(file);
-  put(len);
-  put(digest);
-  file.append(kTrailerMagic, sizeof(kTrailerMagic));
-  return file;
+  return Restamped(std::move(file));
 }
 
 TEST(PatternIndexTest, LoadRejectsRepeatedKey) {
@@ -230,11 +240,6 @@ std::vector<std::string> SortedWalkNames(size_t n, uint64_t seed) {
   return names;
 }
 
-template <typename T>
-void AppendLE(std::string* out, T v) {
-  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
 // The sorted walk sorts an index of up to this many entries as one bucket on
 // the calling thread, and a larger one as several buckets spread over the
 // walk's threads on a machine with more than one hardware thread
@@ -308,10 +313,13 @@ TEST(PatternIndexTest, SortedWalkMatchesStringSortReference) {
   }
 }
 
-// Walks that run at once (an out-of-core build's spill runs) share one
-// budget of helper threads; each must still come out in the one order.
+// Walks that run at once (an out-of-core build's spill runs) and loads
+// (an index read beside a save) share one budget of helper threads; each
+// walk must still come out in the one order, and each load must hold the
+// saved entries.
 TEST(PatternIndexTest, ConcurrentSortedWalksKeepTheirOrder) {
   constexpr size_t kWalks = 4;
+  constexpr size_t kLoads = 2;
   std::vector<PatternIndex> indexes(kWalks);
   std::vector<std::vector<std::string>> sorted(kWalks);
   for (size_t w = 0; w < kWalks; ++w) {
@@ -319,21 +327,213 @@ TEST(PatternIndexTest, ConcurrentSortedWalksKeepTheirOrder) {
     for (const std::string& name : sorted[w]) indexes[w].Add(name, 0.5);
     std::sort(sorted[w].begin(), sorted[w].end());
   }
-  std::vector<std::vector<std::string>> walked(kWalks);
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  const std::string image = dir.File("walked.idx");
+  ASSERT_TRUE(indexes[0].Save(image).ok());
+  std::vector<std::vector<std::string>> walked(kWalks + kLoads);
   std::vector<std::thread> threads;
-  for (size_t w = 0; w < kWalks; ++w) {
-    threads.emplace_back([&, w] {
+  for (size_t t = 0; t < kWalks + kLoads; ++t) {
+    threads.emplace_back([&, t] {
       for (int round = 0; round < 3; ++round) {
-        walked[w].clear();
-        indexes[w].ForEachSorted(
-            [&](uint64_t, const std::string& name, const PatternIndex::Entry&) {
-              walked[w].push_back(name);
+        walked[t].clear();
+        std::optional<PatternIndex> loaded;
+        if (t >= kWalks) {
+          auto got = PatternIndex::Load(image);
+          if (!got.ok()) return;  // an empty walk fails the check below
+          loaded.emplace(std::move(got).value());
+        }
+        (t < kWalks ? indexes[t] : *loaded)
+            .ForEachSorted([&](uint64_t, const std::string& name,
+                               const PatternIndex::Entry&) {
+              walked[t].push_back(name);
             });
       }
     });
   }
   for (std::thread& t : threads) t.join();
-  for (size_t w = 0; w < kWalks; ++w) EXPECT_EQ(walked[w], sorted[w]);
+  for (size_t t = 0; t < kWalks + kLoads; ++t) {
+    EXPECT_EQ(walked[t], sorted[t < kWalks ? t : 0]) << "thread " << t;
+  }
+}
+
+/// The index load as one pass over the entries in file order on one
+/// thread: PatternIndex::LoadFromBuffer as it was before it framed entries
+/// first and checked and inserted them per shard on the helper threads.
+/// Returns the number of entries loaded, or the error that pass meets.
+Result<size_t> SequentialLoad(std::string_view data) {
+  std::string_view payload = data;
+  if (data.substr(0, 8) == "AVIDX003") {
+    auto len = VerifyTrailer(data);
+    if (!len.ok()) return len.status();
+    payload = data.substr(0, static_cast<size_t>(*len));
+  } else if (data.substr(0, 8) != "AVIDX002") {
+    return Status::Corruption("bad index magic");
+  }
+  const char* p = payload.data() + 8;
+  const char* end = payload.data() + payload.size();
+  uint64_t n = 0;
+  if (static_cast<size_t>(end - p) < sizeof(n)) {
+    return Status::Corruption("truncated index header");
+  }
+  std::memcpy(&n, p, sizeof(n));
+  p += sizeof(n);
+  if (n > static_cast<uint64_t>(end - p) / 24) {
+    return Status::Corruption("entry count exceeds file size");
+  }
+  std::set<uint64_t> keys;
+  // Name bytes per shard arena (top four key bits): each takes 4 + len.
+  std::array<uint64_t, PatternIndex::kNumShards> arena{};
+  for (uint64_t i = 0; i < n; ++i) {
+    uint64_t key = 0;
+    uint32_t len = 0;
+    if (static_cast<size_t>(end - p) < sizeof(key) + sizeof(len)) {
+      return Status::Corruption("truncated index entry");
+    }
+    std::memcpy(&key, p, sizeof(key));
+    p += sizeof(key);
+    std::memcpy(&len, p, sizeof(len));
+    p += sizeof(len);
+    if (len > (1u << 24)) return Status::Corruption("bad key length in index");
+    if (static_cast<size_t>(end - p) < len + sizeof(double) + sizeof(uint32_t)) {
+      return Status::Corruption("truncated index entry");
+    }
+    const std::string_view name(p, len);
+    p += len + sizeof(double) + sizeof(uint32_t);
+    if (key != PolyHash64(name)) {
+      return Status::Corruption("key/string mismatch in index");
+    }
+    if (!keys.insert(key).second) {
+      return Status::Corruption("duplicate key in index");
+    }
+    uint64_t& bytes = arena[key >> 60];
+    if (bytes + sizeof(uint32_t) + len > (uint64_t{1} << 32)) {
+      return Status::ResourceExhausted("index shard names exceed 4 GiB");
+    }
+    bytes += sizeof(uint32_t) + len;
+  }
+  if (p != end) return Status::Corruption("index count under-reports entries");
+  return keys.size();
+}
+
+// The load frames the entries on the calling thread and checks and inserts
+// them per shard on the helper threads. Whatever the corruption, it must
+// fail exactly as one pass in file order does: same code, same message, so
+// the error of the first failing entry in the file whichever shard holds
+// it. An image it accepts must hold the reference's entry count and save
+// back byte-identically.
+TEST(PatternIndexTest, ThreadedLoadFailsAsTheSequentialLoopDoes) {
+  // More than one walk bucket of entries, so the load uses the helpers.
+  PatternIndex built;
+  Rng rng(1804);
+  for (const std::string& name :
+       SortedWalkNames(2 * kWalkBucketRows + 300, 1804)) {
+    built.Add(name, rng.NextDouble());
+  }
+  const ScopedTempDir dir = testutil::MakeTempDir();
+  ASSERT_TRUE(built.Save(dir.File("good.idx")).ok());
+  auto file = ReadFileToString(dir.File("good.idx"));
+  ASSERT_TRUE(file.ok());
+  const std::string good = *file;
+  const std::string good_payload = good.substr(0, good.size() - kTrailerBytes);
+  const std::string good_trailer = good.substr(good_payload.size());
+
+  // Where each entry starts in the payload, then where the payload ends.
+  std::vector<size_t> entry_at;
+  for (size_t at = 16; at < good_payload.size();) {
+    entry_at.push_back(at);
+    uint32_t len = 0;
+    std::memcpy(&len, good_payload.data() + at + 8, sizeof(len));
+    at += 12 + len + 12;
+  }
+  ASSERT_EQ(entry_at.size(), built.size());
+  entry_at.push_back(good_payload.size());
+
+  const auto flip = [&rng](std::string* payload, size_t from, size_t bytes) {
+    const size_t at = from + rng.Below(bytes);
+    (*payload)[at] = static_cast<char>((*payload)[at] ^ (1 << rng.Below(8)));
+  };
+  // One defect at entry i (the trailing bytes go after the last entry). A
+  // defect changes nothing before its entry, so two of them applied at
+  // entries j > i, j's first, keep each where it was put.
+  using Defect = std::function<void(std::string*, size_t)>;
+  const std::vector<std::pair<std::string, Defect>> defects = {
+      {"key", [&](std::string* p, size_t i) { flip(p, entry_at[i], 8); }},
+      {"length",
+       [&](std::string* p, size_t i) { flip(p, entry_at[i] + 8, 4); }},
+      {"name",
+       [&](std::string* p, size_t i) {
+         const size_t name_bytes = entry_at[i + 1] - entry_at[i] - 24;
+         if (name_bytes > 0) flip(p, entry_at[i] + 12, name_bytes);
+       }},
+      {"stats",
+       [&](std::string* p, size_t i) { flip(p, entry_at[i + 1] - 12, 12); }},
+      {"duplicate",
+       [&](std::string* p, size_t i) {
+         p->insert(entry_at[i + 1],
+                   good_payload.substr(entry_at[i],
+                                       entry_at[i + 1] - entry_at[i]));
+         uint64_t n = 0;
+         std::memcpy(&n, p->data() + 8, sizeof(n));
+         ++n;
+         std::memcpy(p->data() + 8, &n, sizeof(n));
+       }},
+      {"truncate",
+       [&](std::string* p, size_t i) {
+         p->resize(entry_at[i] + 1 +
+                   rng.Below(entry_at[i + 1] - entry_at[i] - 1));
+       }},
+      {"trailing",
+       [&](std::string* p, size_t) {
+         p->append(1 + rng.Below(40), static_cast<char>(rng.Below(256)));
+       }},
+  };
+
+  const auto check = [&](const std::string& payload, bool restamp,
+                         const std::string& what) {
+    SCOPED_TRACE(what + (restamp ? ", trailer re-stamped" : ""));
+    const std::string image =
+        restamp ? Restamped(payload) : payload + good_trailer;
+    auto got = PatternIndex::LoadFromBuffer(image);
+    auto want = SequentialLoad(image);
+    ASSERT_EQ(got.ok(), want.ok())
+        << (got.ok() ? want.status() : got.status()).ToString();
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().code(), want.status().code());
+      EXPECT_EQ(got.status().message(), want.status().message());
+      return;
+    }
+    EXPECT_EQ(got->size(), *want);
+    ASSERT_TRUE(got->Save(dir.File("again.idx")).ok());
+    auto again = ReadFileToString(dir.File("again.idx"));
+    ASSERT_TRUE(again.ok());
+    EXPECT_TRUE(*again == image);
+  };
+
+  check(good_payload, /*restamp=*/false, "intact");
+  const size_t entries = built.size();
+  for (bool restamp : {false, true}) {
+    for (const auto& [name, defect] : defects) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const size_t i = rng.Below(entries);
+        std::string payload = good_payload;
+        defect(&payload, i);
+        check(payload, restamp, name + " at entry " + std::to_string(i));
+      }
+    }
+    // Two defects, usually in different shards: the earlier one decides.
+    for (int trial = 0; trial < 12; ++trial) {
+      const size_t i = rng.Below(entries - 1);
+      const size_t j = i + 1 + rng.Below(entries - 1 - i);
+      const auto& [first, first_defect] = defects[rng.Below(defects.size())];
+      const auto& [second, second_defect] = defects[rng.Below(defects.size())];
+      std::string payload = good_payload;
+      second_defect(&payload, j);
+      first_defect(&payload, i);
+      check(payload, restamp,
+            first + " at entry " + std::to_string(i) + ", " + second +
+                " at entry " + std::to_string(j));
+    }
+  }
 }
 
 TEST(PatternIndexTest, GoldenIndexIsSavedThroughThreadedWalk) {

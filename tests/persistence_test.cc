@@ -19,6 +19,7 @@
 #include "common/hash.h"
 #include "common/temp_file.h"
 #include "core/validation_service.h"
+#include "corpus/avcol.h"
 #include "corpus/corpus.h"
 #include "corpus/format.h"
 #include "index/pattern_index.h"
@@ -271,6 +272,21 @@ TEST(PersistenceTest, CsvLakeSaveReportsWriteFailures) {
     ++files;
   }
   EXPECT_EQ(files, 0u);  // no torn table, no temp debris
+}
+
+TEST(PersistenceTest, LoadOfDirectoryIsIOError) {
+  // `avserved --index=<dir>` or `--rules=<dir>` must print an error: a
+  // directory opens like a file, and its stream size (2^63 - 1) once went
+  // to an allocation that aborted the process.
+  ScopedTempDir dir = MakeTempDir();
+  auto index = PatternIndex::Load(dir.path());
+  EXPECT_EQ(index.status().code(), StatusCode::kIOError)
+      << index.status().ToString();
+  ValidationService service(nullptr, {});
+  const Status rules = service.Load(dir.path());
+  EXPECT_EQ(rules.code(), StatusCode::kIOError) << rules.ToString();
+  auto table = ReadTableAvcol("t", dir.path());
+  EXPECT_EQ(table.status().code(), StatusCode::kIOError);
 }
 
 TEST(PersistenceTest, CsvLakeSaveStillRoundTrips) {
