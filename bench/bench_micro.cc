@@ -279,8 +279,8 @@ void BM_BuildIndexSmall(benchmark::State& state) {
 BENCHMARK(BM_BuildIndexSmall)->UseRealTime();
 
 /// The same 150-column offline job on the out-of-core path: every chunk
-/// index spills to an AVSPILL02 run and the reduce is the k-way streaming
-/// merge. The delta vs BM_BuildIndexSmall is the spill tax (serialize +
+/// index spills to a run (its AVIDX003 file, unsynced) and the reduce is
+/// the k-way streaming merge. The delta vs BM_BuildIndexSmall is the spill tax (serialize +
 /// merge I/O) paid for bounded memory; output bytes are identical.
 void BM_BuildIndexSpill(benchmark::State& state) {
   const Corpus corpus = GenerateLake(EnterpriseLakeConfig(150, 7));

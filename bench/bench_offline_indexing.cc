@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
   }
   json += "\n  ],\n";
 
-  // Out-of-core run (tau = default): chunk indexes spill to AVSPILL02 runs
-  // and the reduce is the k-way streaming merge. Reports the spill tax paid
+  // Out-of-core run (tau = default): chunk indexes spill to runs (their
+  // AVIDX003 files, written without fsync) and the reduce is the k-way
+  // streaming merge. Reports the spill tax paid
   // for bounded chunk-index residency; saved bytes are identical to the
   // in-memory path (golden-tested), so only wall-clock and peak residency
   // differ.

@@ -1,8 +1,8 @@
 // Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{index,ruleset,
-// spill,frame}/) from the real writers, so every seed is a well-formed file
-// of the current format, plus one of the previous format where that is
-// still readable (index and rule-set files; spill runs never outlive their
-// build). Run from the repo root:
+// spill,frame,tokenizer}/) from the real writers, so every seed is a
+// well-formed file of the current format, plus one of the previous format
+// where that is still readable (index and rule-set files; spill runs never
+// outlive their build). Run from the repo root:
 //
 //   ./build/make_seed_corpus fuzz/corpus
 //
@@ -110,20 +110,18 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------- spill
+  // A run is an AVIDX003 file written without fsync: one of a few entries,
+  // and an empty one.
   {
-    av::SpillRunWriter writer;
-    if (!writer.Open(tmp).ok()) return 1;
+    av::PatternIndex chunk;
     for (const char* name :
          {"<digit>+", "<digit>{4}", "<letter>+ <digit>+", "Mar <digit>{2}"}) {
-      av::SpillEntry e;
-      e.name = name;
-      e.key = av::PolyHash64(e.name);
-      e.sum_impurity = 0.125;
-      e.columns = 7;
-      if (!writer.Append(e).ok()) return 1;
+      chunk.Add(name, 0.125);
     }
-    if (!writer.Finish().ok()) return 1;
-    WriteFile(root + "/spill/small_v2.avspill", Slurp(tmp));
+    if (!av::WriteSpillRun(chunk, tmp).ok()) return 1;
+    WriteFile(root + "/spill/small.avspill", Slurp(tmp));
+    if (!av::WriteSpillRun(av::PatternIndex(), tmp).ok()) return 1;
+    WriteFile(root + "/spill/empty.avspill", Slurp(tmp));
   }
 
   // ------------------------------------------------------------- frame

@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "common/file_ops.h"
@@ -62,77 +61,87 @@ uint64_t PiecedPolyHash64(std::string_view s) {
   return h * PolyPow(s.size() - (pieces - 1) * kPieceBytes) + partial.back();
 }
 
-/// A read-only descriptor of a regular file, closed on destruction.
-class RegularFile {
- public:
-  RegularFile() = default;
-  RegularFile(const RegularFile&) = delete;
-  RegularFile& operator=(const RegularFile&) = delete;
-  ~RegularFile() {
-    if (fd_ >= 0) ::close(fd_);
+/// Reads the `n` bytes at `offset` of `fd` into `dst`, retrying on EINTR.
+/// Returns 0, the errno of a failed pread, or -1 when the file ends first.
+/// Allocates nothing, so it may run on a ParallelFor helper.
+int PreadFully(int fd, uint64_t offset, char* dst, size_t n) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, dst, n, static_cast<off_t>(offset));
+    if (got < 0 && errno == EINTR) continue;
+    if (got <= 0) return got < 0 ? errno : -1;
+    dst += got;
+    offset += static_cast<uint64_t>(got);
+    n -= static_cast<size_t>(got);
   }
+  return 0;
+}
 
-  /// kIOError unless `path` opens and is a regular file: an ifstream opens
-  /// a directory too and reports its size as 2^63 - 1, which a reader would
-  /// then try to allocate.
-  Status Open(const std::string& path) {
-    path_ = path;
-    fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd_ < 0) return Status::IOError(ErrnoMessage("cannot open", path));
-    struct stat st;
-    if (::fstat(fd_, &st) != 0) {
-      return Status::IOError(ErrnoMessage("cannot stat", path));
-    }
-    if (!S_ISREG(st.st_mode)) {
-      return Status::IOError("cannot read " + path + ": not a regular file");
-    }
-    size_ = static_cast<size_t>(st.st_size);
-    return Status::OK();
+Status ReadError(const std::string& path, int err) {
+  return Status::IOError("cannot read " + path + ": " +
+                         (err > 0 ? std::strerror(err)
+                                  : "the file shrank while it was read"));
+}
+
+/// The frame checks both verifiers share, on a file of `size` bytes whose
+/// last min(size, kTrailerBytes) bytes are `tail`: room for a trailer, its
+/// magic, and a length that is the rest of the file. Returns that length
+/// and sets `*digest` for the caller to check against the payload.
+Result<uint64_t> CheckTrailerFrame(uint64_t size, std::string_view tail,
+                                   uint64_t* digest) {
+  if (size < kTrailerBytes) {
+    return Status::Corruption("file too small for checksum trailer");
   }
-
-  /// Size at Open.
-  size_t size() const { return size_; }
-
-  /// Reads bytes [0, size()) into `dst`, kPieceBytes at a time on the
-  /// ParallelFor helpers. A file that shrank since Open is a kIOError.
-  Status ReadAll(char* dst) const {
-    const size_t pieces = Pieces(size_);
-    // Per piece: 0, the errno of a failed pread, or -1 for an early end.
-    std::vector<int> errors(pieces);
-    ParallelFor(pieces, pieces, [&](size_t i) {
-      size_t off = i * kPieceBytes;
-      const size_t end = std::min(size_, off + kPieceBytes);
-      while (off < end) {
-        const ssize_t got =
-            ::pread(fd_, dst + off, end - off, static_cast<off_t>(off));
-        if (got < 0 && errno == EINTR) continue;
-        if (got <= 0) {
-          errors[i] = got < 0 ? errno : -1;
-          return;
-        }
-        off += static_cast<size_t>(got);
-      }
-    });
-    for (const int err : errors) {
-      if (err > 0) {
-        return Status::IOError("cannot read " + path_ + ": " +
-                               std::strerror(err));
-      }
-      if (err < 0) {
-        return Status::IOError("cannot read " + path_ +
-                               ": the file shrank while it was read");
-      }
-    }
-    return Status::OK();
+  if (std::memcmp(tail.data() + 16, kTrailerMagic, sizeof(kTrailerMagic))) {
+    return Status::Corruption("missing checksum trailer magic");
   }
-
- private:
-  int fd_ = -1;
-  size_t size_ = 0;
-  std::string path_;
-};
+  uint64_t len = 0;
+  std::memcpy(&len, tail.data(), sizeof(len));
+  std::memcpy(digest, tail.data() + 8, sizeof(*digest));
+  if (len != size - kTrailerBytes) {
+    return Status::Corruption("checksum trailer length mismatch");
+  }
+  return len;
+}
 
 }  // namespace
+
+RegularFile::~RegularFile() {
+  if (fd_ >= 0) ::close(fd_);
+}
+
+Status RegularFile::Open(const std::string& path) {
+  path_ = path;
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd_ < 0) return Status::IOError(ErrnoMessage("cannot open", path));
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) {
+    return Status::IOError(ErrnoMessage("cannot stat", path));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    return Status::IOError("cannot read " + path + ": not a regular file");
+  }
+  size_ = static_cast<size_t>(st.st_size);
+  return Status::OK();
+}
+
+Status RegularFile::ReadAt(uint64_t offset, char* dst, size_t n) const {
+  const int err = PreadFully(fd_, offset, dst, n);
+  return err == 0 ? Status::OK() : ReadError(path_, err);
+}
+
+Status RegularFile::ReadAll(char* dst) const {
+  const size_t pieces = Pieces(size_);
+  std::vector<int> errors(pieces);
+  ParallelFor(pieces, pieces, [&](size_t i) {
+    const size_t off = i * kPieceBytes;
+    errors[i] = PreadFully(fd_, off, dst + off,
+                           std::min(size_, off + kPieceBytes) - off);
+  });
+  for (const int err : errors) {
+    if (err != 0) return ReadError(path_, err);
+  }
+  return Status::OK();
+}
 
 Status DurableFileWriter::Open(const std::string& target,
                                DurableWriteOptions opts) {
@@ -249,65 +258,46 @@ void DurableFileWriter::Abandon() {
 }
 
 Result<uint64_t> VerifyTrailer(std::string_view data) {
-  if (data.size() < kTrailerBytes) {
-    return Status::Corruption("file too small for checksum trailer");
-  }
-  const char* t = data.data() + data.size() - kTrailerBytes;
-  if (std::memcmp(t + 16, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
-    return Status::Corruption("missing checksum trailer magic");
-  }
-  uint64_t len = 0;
   uint64_t digest = 0;
-  std::memcpy(&len, t, sizeof(len));
-  std::memcpy(&digest, t + 8, sizeof(digest));
-  if (len != data.size() - kTrailerBytes) {
-    return Status::Corruption("checksum trailer length mismatch");
-  }
-  if (PiecedPolyHash64(data.substr(0, len)) != digest) {
+  auto len = CheckTrailerFrame(
+      data.size(),
+      data.substr(data.size() - std::min(data.size(), kTrailerBytes)),
+      &digest);
+  if (!len.ok()) return len;
+  if (PiecedPolyHash64(data.substr(0, *len)) != digest) {
     return Status::Corruption("payload checksum mismatch");
   }
   return len;
 }
 
-Result<uint64_t> VerifyTrailerFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IOError("cannot stat " + path);
-  if (static_cast<uint64_t>(size) < kTrailerBytes) {
-    return Status::Corruption("file too small for checksum trailer: " + path);
-  }
-  in.seekg(size - static_cast<std::streamoff>(kTrailerBytes));
-  char trailer[kTrailerBytes];
-  in.read(trailer, sizeof(trailer));
-  if (!in) return Status::IOError("cannot read trailer of " + path);
-  if (std::memcmp(trailer + 16, kTrailerMagic, sizeof(kTrailerMagic)) != 0) {
-    return Status::Corruption("missing checksum trailer magic: " + path);
-  }
-  uint64_t len = 0;
+Result<uint64_t> VerifyTrailerFile(const RegularFile& file) {
+  const auto with_path = [&file](const Status& st) {
+    return Status(st.code(), st.message() + ": " + file.path());
+  };
+  char tail[kTrailerBytes] = {};
+  const size_t tail_bytes = std::min(file.size(), kTrailerBytes);
+  AV_RETURN_NOT_OK(file.ReadAt(file.size() - tail_bytes, tail, tail_bytes));
   uint64_t digest = 0;
-  std::memcpy(&len, trailer, sizeof(len));
-  std::memcpy(&digest, trailer + 8, sizeof(digest));
-  if (len != static_cast<uint64_t>(size) - kTrailerBytes) {
-    return Status::Corruption("checksum trailer length mismatch: " + path);
-  }
-  in.seekg(0);
+  auto len = CheckTrailerFrame(file.size(), {tail, tail_bytes}, &digest);
+  if (!len.ok()) return with_path(len.status());
   PolyHasher hasher;
-  std::string chunk(kBufferBytes, '\0');
-  uint64_t remaining = len;
-  while (remaining > 0) {
-    const size_t step =
-        static_cast<size_t>(std::min<uint64_t>(remaining, chunk.size()));
-    in.read(chunk.data(), static_cast<std::streamsize>(step));
-    if (!in) return Status::IOError("cannot read payload of " + path);
-    hasher.Update(chunk.data(), step);
-    remaining -= step;
+  std::unique_ptr<char[]> piece(new char[kBufferBytes]);
+  for (uint64_t off = 0; off < *len; off += kBufferBytes) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(kBufferBytes, *len - off));
+    AV_RETURN_NOT_OK(file.ReadAt(off, piece.get(), n));
+    hasher.Update(piece.get(), n);
   }
   if (hasher.digest() != digest) {
-    return Status::Corruption("payload checksum mismatch: " + path);
+    return with_path(Status::Corruption("payload checksum mismatch"));
   }
   return len;
+}
+
+Result<uint64_t> VerifyTrailerFile(const std::string& path) {
+  RegularFile file;
+  AV_RETURN_NOT_OK(file.Open(path));
+  return VerifyTrailerFile(file);
 }
 
 Result<FileImage> ReadFileImage(const std::string& path) {

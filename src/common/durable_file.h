@@ -1,5 +1,5 @@
 // Crash-safe persistence primitives shared by every on-disk artifact
-// (AVIDX003 indexes, AVRULESET2 rule sets, AVSPILL02 spill runs, CSV lakes).
+// (AVIDX003 indexes and spill runs, AVRULESET2 rule sets, CSV lakes).
 //
 // The durability contract (docs/ARCHITECTURE.md, "Durability"):
 //
@@ -170,6 +170,35 @@ class DurableFileWriter {
   bool committed_ = false;
 };
 
+/// A read-only descriptor of a regular file, closed on destruction.
+class RegularFile {
+ public:
+  RegularFile() = default;
+  RegularFile(const RegularFile&) = delete;
+  RegularFile& operator=(const RegularFile&) = delete;
+  ~RegularFile();
+
+  /// kIOError unless `path` opens and is a regular file: a directory opens
+  /// too, and an ifstream reports its size as 2^63 - 1, which a reader
+  /// would then try to allocate.
+  Status Open(const std::string& path);
+
+  const std::string& path() const { return path_; }
+  size_t size() const { return size_; }  ///< size at Open
+
+  /// Reads the `n` bytes at `offset` into `dst`. A file that ends before
+  /// them (it shrank since Open) or a failed read is a kIOError.
+  Status ReadAt(uint64_t offset, char* dst, size_t n) const;
+  /// Reads bytes [0, size()) into `dst`, 1 MiB at a time on the
+  /// ParallelFor helpers (common/parallel_for.h). Errors as ReadAt.
+  Status ReadAll(char* dst) const;
+
+ private:
+  int fd_ = -1;
+  size_t size_ = 0;
+  std::string path_;
+};
+
 /// Verifies the trailer frame of an in-memory file image. Returns the
 /// payload length (always `data.size() - 24` when OK); kCorruption when the
 /// frame is missing, truncated, inconsistent, or the checksum mismatches.
@@ -177,8 +206,10 @@ class DurableFileWriter {
 /// ParallelFor helpers (common/parallel_for.h).
 Result<uint64_t> VerifyTrailer(std::string_view data);
 
-/// Verifies the trailer frame of a file by streaming it (constant memory).
-/// kIOError when the file cannot be read, kCorruption as above.
+/// Verifies the trailer frame of a file as VerifyTrailer does, reading the
+/// payload in kBufferBytes pieces (constant memory). kIOError when the file
+/// cannot be read or (by path) is not a regular file, kCorruption as above.
+Result<uint64_t> VerifyTrailerFile(const RegularFile& file);
 Result<uint64_t> VerifyTrailerFile(const std::string& path);
 
 /// A whole file in memory.

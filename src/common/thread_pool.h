@@ -1,5 +1,5 @@
-// Fixed-size thread pool used by the offline indexing job (the laptop-scale
-// stand-in for the paper's Map-Reduce-like cluster).
+// Fixed-size thread pool of the offline indexing job, ValidationService,
+// the network Server and the evaluator.
 #pragma once
 
 #include <condition_variable>

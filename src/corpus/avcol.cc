@@ -1,6 +1,5 @@
 #include "corpus/avcol.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
@@ -86,7 +85,6 @@ Result<Table> TableFromAvcolBuffer(std::string_view name,
 
   Table table;
   table.name = std::string(name);
-  table.columns.reserve(std::min<size_t>(ncols, cur.remaining()));
   uint64_t expected_rows = 0;
   for (uint32_t c = 0; c < ncols; ++c) {
     uint32_t name_len = 0;

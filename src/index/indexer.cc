@@ -23,9 +23,10 @@ namespace {
 /// part of the saved-bytes determinism contract (docs/ARCHITECTURE.md).
 constexpr size_t kColumnsPerChunk = 256;
 
-/// Per-run-cursor memory estimate (stream buffer + current entry + heap
+/// Per-run-cursor memory estimate (file window + current entry + heap
 /// slot) used to derive the merge fan-in from the memory budget.
 constexpr size_t kSpillCursorBytes = 64 * 1024;
+static_assert(SpillRunCursor::kWindowBytes < kSpillCursorBytes);
 
 /// Cheap tau pre-check: true when every value of the span exceeds the token
 /// limit, i.e. the column cannot contribute a single enumerable shape group

@@ -6,8 +6,8 @@
 // (per-column enumeration) runs on a thread pool over fixed-size column
 // chunks and the reduce merges chunk-local accumulators — either in memory
 // (key shards in parallel, no global lock) or, when a memory budget is set,
-// through AVSPILL02 spill runs on disk with a k-way streaming merge, so
-// lakes far larger than RAM index with bounded chunk-index residency. Both
+// through spill runs (AVIDX003 files) on disk with a k-way streaming merge,
+// so lakes far larger than RAM index with bounded chunk-index residency. Both
 // reduce paths fold per-key statistics in chunk order, so the result — and
 // its saved AVIDX003 bytes — is identical for any thread count and for
 // either path (docs/ARCHITECTURE.md, "Offline indexing").
@@ -28,15 +28,16 @@ namespace av {
 struct IndexBuildOptions {
   /// 0 (default): every chunk-local index stays in memory until the
   /// parallel shard reduce — fastest, residency grows with the corpus.
-  /// >0: out-of-core path — each completed chunk index is serialized to a
-  /// sorted AVSPILL02 run and freed, the reduce is a k-way streaming merge,
-  /// and the budget bounds both resident chunk-index bytes and the merge
-  /// fan-in. The first chunk runs alone to calibrate the per-chunk size,
-  /// after which map tasks are admitted only while resident bytes plus one
-  /// max-observed chunk per in-flight task fit the budget — peak
-  /// chunk-index residency stays within max(one chunk index, this budget),
-  /// modulo a chunk larger than any observed so far (sizes are only known
-  /// at completion). Saved index bytes are identical either way.
+  /// >0: out-of-core path — each completed chunk index is written as a
+  /// spill run (its AVIDX003 file, unsynced) and freed, the reduce is a
+  /// k-way streaming merge, and the budget bounds both resident
+  /// chunk-index bytes and the merge fan-in. The first chunk runs alone to
+  /// calibrate the per-chunk size, after which map tasks are admitted only
+  /// while resident bytes plus one max-observed chunk per in-flight task
+  /// fit the budget — peak chunk-index residency stays within max(one chunk
+  /// index, this budget), modulo a chunk larger than any observed so far
+  /// (sizes are only known at completion). Saved index bytes are identical
+  /// either way.
   size_t memory_budget_bytes = 0;
   /// Parent directory for the spill-run directory; empty selects
   /// std::filesystem::temp_directory_path(). The run directory is removed
@@ -90,8 +91,9 @@ struct IndexerReport {
 /// over a CorpusColumnReader. With `cfg.build.memory_budget_bytes` set,
 /// takes the out-of-core path; if that path fails (e.g. no writable spill
 /// directory) the behavior depends on `cfg.build.strict_spill`: off
-/// (default) warns on stderr, falls back to the in-memory build and
-/// records the fallback in the report; on makes the failure a hard error.
+/// (default) falls back to the in-memory build and records the fallback in
+/// the report (or, with no report, warns on stderr); on makes the failure a
+/// hard error.
 Result<PatternIndex> TryBuildIndex(const Corpus& corpus,
                                    const IndexerConfig& cfg,
                                    IndexerReport* report = nullptr);

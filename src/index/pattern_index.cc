@@ -11,6 +11,7 @@
 
 #include "common/durable_file.h"
 #include "common/parallel_for.h"
+#include "index/index_file.h"
 
 namespace av {
 
@@ -47,19 +48,6 @@ std::string_view PatternIndex::NameArena::Get(uint32_t offset) const {
   std::memcpy(&len, bytes_.data() + offset, sizeof(len));
   return {bytes_.data() + offset + sizeof(len), len};
 }
-
-namespace {
-/// Current format: checksum-trailed, crash-safe writes (docs/FILE_FORMATS.md).
-constexpr char kMagic[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '3'};
-/// Previous format, still readable (identical payload, no trailer).
-constexpr char kMagicV2[8] = {'A', 'V', 'I', 'D', 'X', '0', '0', '2'};
-/// Bytes of an on-disk entry around its name: key and length before,
-/// sum_impurity and columns after.
-constexpr size_t kEntryHeadBytes = sizeof(uint64_t) + sizeof(uint32_t);
-constexpr size_t kEntryTailBytes = sizeof(double) + sizeof(uint32_t);
-/// Smallest possible on-disk entry: one with an empty name.
-constexpr uint64_t kMinEntryBytes = kEntryHeadBytes + kEntryTailBytes;
-}  // namespace
 
 void PatternIndex::InsertAggregate(uint64_t key, const std::string& name,
                                    double sum_impurity, uint32_t columns) {
@@ -241,26 +229,28 @@ void PatternIndex::ForEachSorted(
   }
 }
 
-Status PatternIndex::Save(const std::string& path) const {
+Result<uint64_t> PatternIndex::Write(const std::string& path,
+                                     DurableWriteOptions opts) const {
   // Deterministic output: entries sorted by string key, so the file bytes
   // do not depend on hash-map iteration order (and hence on how many
   // threads built the index). Durable output: the payload streams into a
-  // temp file and lands via checksum trailer + fsync + atomic rename, so a
-  // crashed save never leaves a torn file (or clobbers the previous index).
+  // temp file and lands via checksum trailer (+ fsync) + atomic rename, so
+  // a crashed write never leaves a torn file (or clobbers the previous one).
   DurableFileWriter out;
-  AV_RETURN_NOT_OK(out.Open(path));
-  AV_RETURN_NOT_OK(out.Append(kMagic, sizeof(kMagic)));
-  const uint64_t n = size();
-  AV_RETURN_NOT_OK(out.AppendPod(n));
+  AV_RETURN_NOT_OK(out.Open(path, opts));
+  AV_RETURN_NOT_OK(out.Append(index_file::kMagic));
+  AV_RETURN_NOT_OK(out.AppendPod(static_cast<uint64_t>(size())));
   for (const SortedRow& row : SortedRows()) {
-    const uint32_t len = static_cast<uint32_t>(row.name.size());
-    AV_RETURN_NOT_OK(out.AppendPod(row.key));
-    AV_RETURN_NOT_OK(out.AppendPod(len));
-    AV_RETURN_NOT_OK(out.Append(row.name.data(), len));
-    AV_RETURN_NOT_OK(out.AppendPod(row.stats->sum_impurity));
-    AV_RETURN_NOT_OK(out.AppendPod(row.stats->columns));
+    AV_RETURN_NOT_OK(index_file::AppendEntry(out, row.key, row.name,
+                                             row.stats->sum_impurity,
+                                             row.stats->columns));
   }
-  return out.Commit();
+  AV_RETURN_NOT_OK(out.Commit());
+  return out.committed_bytes();
+}
+
+Status PatternIndex::Save(const std::string& path) const {
+  return Write(path, {}).status();
 }
 
 Result<PatternIndex> PatternIndex::Load(const std::string& path) {
@@ -323,32 +313,22 @@ Status LoadErrorStatus(LoadError error) {
 
 Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   std::string_view payload = data;
-  if (data.size() >= sizeof(kMagic) &&
-      std::memcmp(data.data(), kMagic, sizeof(kMagic)) == 0) {
+  if (data.starts_with(index_file::kMagic)) {
     // AVIDX003: the trailer is mandatory and covers the whole payload, so a
     // torn or bit-rotted file fails here before any entry is parsed.
     auto len = VerifyTrailer(data);
     if (!len.ok()) return len.status();
     payload = data.substr(0, static_cast<size_t>(*len));
-  } else if (data.size() < sizeof(kMagicV2) ||
-             std::memcmp(data.data(), kMagicV2, sizeof(kMagicV2)) != 0) {
+  } else if (!data.starts_with(index_file::kMagicV2)) {
     return Status::Corruption("bad index magic");
   }
   // From here both versions share one payload layout: magic, count, entries.
+  auto count = index_file::ReadCount(payload, payload.size());
+  if (!count.ok()) return count.status();
+  const uint64_t n = *count;
   const char* const begin = payload.data();
   const char* const end = begin + payload.size();
-  const char* p = begin + sizeof(kMagic);
-  uint64_t n = 0;
-  if (static_cast<size_t>(end - p) < sizeof(n)) {
-    return Status::Corruption("truncated index header");
-  }
-  std::memcpy(&n, p, sizeof(n));
-  p += sizeof(n);
-  // A corrupt header cannot trigger an unbounded allocation: every entry
-  // occupies at least kMinEntryBytes, so n is bounded by the payload size.
-  if (n > static_cast<uint64_t>(end - p) / kMinEntryBytes) {
-    return Status::Corruption("entry count exceeds file size");
-  }
+  const char* p = begin + index_file::kHeaderBytes;
 
   // Pass 1, on the calling thread in file order: frame each entry and file
   // its offset under its key's shard, counting the bytes its name takes in
@@ -364,26 +344,19 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
   LoadStop stop;
   for (uint64_t i = 0; i < n; ++i) {
     const size_t at = static_cast<size_t>(p - begin);
-    uint64_t key = 0;
-    uint32_t len = 0;
-    if (static_cast<size_t>(end - p) < kEntryHeadBytes) {
-      stop = {at, LoadError::kTruncated};
+    index_file::Entry e;
+    size_t size = 0;
+    const index_file::FrameError framed =
+        index_file::FrameEntry({p, static_cast<size_t>(end - p)}, &e, &size);
+    if (framed != index_file::FrameError::kNone) {
+      stop = {at, framed == index_file::FrameError::kBadLength
+                      ? LoadError::kBadLength
+                      : LoadError::kTruncated};
       break;
     }
-    std::memcpy(&key, p, sizeof(key));
-    std::memcpy(&len, p + sizeof(key), sizeof(len));
-    if (len > (1u << 24)) {
-      stop = {at, LoadError::kBadLength};
-      break;
-    }
-    if (static_cast<size_t>(end - p) - kEntryHeadBytes <
-        len + kEntryTailBytes) {
-      stop = {at, LoadError::kTruncated};
-      break;
-    }
-    offsets[ShardOf(key)].push_back(at);
-    arena_bytes[ShardOf(key)] += sizeof(uint32_t) + len;
-    p += kEntryHeadBytes + len + kEntryTailBytes;
+    offsets[ShardOf(e.key)].push_back(at);
+    arena_bytes[ShardOf(e.key)] += sizeof(uint32_t) + e.name.size();
+    p += size;
   }
   if (stop.error == LoadError::kNone && p != end) {
     stop = {static_cast<size_t>(p - begin), LoadError::kUnderReported};
@@ -419,35 +392,32 @@ Result<PatternIndex> PatternIndex::LoadFromBuffer(std::string_view data) {
         __builtin_prefetch(ahead + 64);
       }
       if (j + kSlotLookahead < at.size()) {
-        uint64_t ahead_key = 0;
+        uint64_t ahead_key = 0;  // an entry starts with its key
         std::memcpy(&ahead_key, begin + at[j + kSlotLookahead],
                     sizeof(ahead_key));
         shard.stats.Prefetch(ahead_key);
       }
-      const char* e = begin + at[j];
-      uint64_t key = 0;
-      uint32_t len = 0;
-      std::memcpy(&key, e, sizeof(key));
-      std::memcpy(&len, e + sizeof(key), sizeof(len));
-      const std::string_view name(e + kEntryHeadBytes, len);
-      if (key != PolyHash64(name)) {
+      // Framed in pass 1, so this frames again without fail.
+      index_file::Entry e;
+      size_t size = 0;
+      index_file::FrameEntry({begin + at[j], payload.size() - at[j]}, &e,
+                             &size);
+      if (e.key != PolyHash64(e.name)) {
         shard_stop[s] = {at[j], LoadError::kKeyMismatch};
         return;
       }
-      auto [slot, inserted] = shard.stats.TryEmplace(key);
+      auto [slot, inserted] = shard.stats.TryEmplace(e.key);
       if (!inserted) {
         shard_stop[s] = {at[j], LoadError::kDuplicate};
         return;
       }
-      if (!shard.names.Fits(len)) {
+      if (!shard.names.Fits(e.name.size())) {
         shard_stop[s] = {at[j], LoadError::kArenaFull};
         return;
       }
-      slot->name = shard.names.Append(name);
-      const char* stats = name.data() + len;
-      std::memcpy(&slot->sum_impurity, stats, sizeof(slot->sum_impurity));
-      std::memcpy(&slot->columns, stats + sizeof(slot->sum_impurity),
-                  sizeof(slot->columns));
+      slot->name = shard.names.Append(e.name);
+      slot->sum_impurity = e.sum_impurity;
+      slot->columns = e.columns;
     }
   });
   for (const LoadStop& s : shard_stop) {

@@ -28,6 +28,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/durable_file.h"
 #include "common/flat_hash.h"
 #include "common/hash.h"
 #include "common/status.h"
@@ -92,7 +93,7 @@ class PatternIndex {
   void InsertAggregate(uint64_t key, const std::string& name,
                        double sum_impurity, uint32_t columns);
 
-  /// Merges and consumes another index (used by the parallel offline job).
+  /// Merges and consumes another index; the offline job uses MergeShardFrom.
   void MergeFrom(PatternIndex&& other);
 
   /// Merges (and consumes) one shard of `other` into the same shard of this
@@ -132,8 +133,8 @@ class PatternIndex {
       const std::function<void(const std::string&, const Entry&)>& fn) const;
 
   /// Iterates over all entries sorted by canonical string form — the
-  /// deterministic order of the AVIDX003 file and of AVSPILL02 spill runs.
-  /// The name argument is reused across calls, as in ForEach.
+  /// deterministic order of the AVIDX003 file, spill runs included. The
+  /// name argument is reused across calls, as in ForEach.
   void ForEachSorted(const std::function<void(uint64_t, const std::string&,
                                               const Entry&)>& fn) const;
 
@@ -162,11 +163,14 @@ class PatternIndex {
   uint64_t ApproxBytes() const;
 
  private:
-  /// WriteSpillRun (index/spill.h) walks SortedRows() itself, so a spill
-  /// run writes each name straight from the arena: no per-row string or
-  /// callback, as ForEachSorted has.
+  /// WriteSpillRun (index/spill.h) is Write without the fsync.
   friend Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
                                         const std::string& path);
+
+  /// Save with its write policy open: writes the AVIDX003 file, each name
+  /// straight from its arena, and returns the file's size.
+  Result<uint64_t> Write(const std::string& path,
+                         DurableWriteOptions opts) const;
 
   /// Aborts with a diagnostic if `stored` and `fresh` differ (64-bit key
   /// collision between distinct patterns — unrecoverable stat corruption).

@@ -3,184 +3,109 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 #include "common/hash.h"
+#include "index/index_file.h"
 
 namespace av {
 
-namespace {
-
-// Payload: magic (9 bytes) + entries + u64 entry count, then the 24-byte
-// checksum trailer (durable_file.h). Entry: u64 key, u32 name length, name
-// bytes, f64 sum_impurity, u32 columns — the AVIDX003 entry encoding
-// (docs/FILE_FORMATS.md). The count trails the entries so the writer
-// streams strictly forward: a seek-back count patch would invalidate the
-// incrementally-computed payload checksum.
-constexpr char kSpillMagic[9] = {'A', 'V', 'S', 'P', 'I', 'L', 'L', '0', '2'};
-constexpr uint64_t kMagicBytes = sizeof(kSpillMagic);
-/// Smallest entry: key (8) + length (4) + empty name + f64 (8) + u32 (4).
-constexpr uint64_t kMinEntryBytes = 24;
-constexpr uint32_t kMaxNameBytes = 1u << 24;  // same cap as PatternIndex
-
-}  // namespace
-
-Status SpillRunWriter::Open(const std::string& path) {
-  path_ = path;
+Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
+                               const std::string& path) {
   // Checksummed but not fsync'd: runs are ephemeral (a crash loses the
   // whole build), yet the trailer + atomic rename guarantee a run file is
   // never observed half-written.
-  AV_RETURN_NOT_OK(out_.Open(path, {.checksum = true, .sync = false}));
-  AV_RETURN_NOT_OK(out_.Append(kSpillMagic, sizeof(kSpillMagic)));
-  count_ = 0;
-  bytes_ = 0;
-  last_name_.clear();
-  open_ = true;
-  return Status::OK();
-}
-
-Status SpillRunWriter::Append(uint64_t key, std::string_view name,
-                              double sum_impurity, uint32_t columns) {
-  if (!open_) return Status::Internal("spill writer not open");
-  if (count_ > 0 && name <= last_name_) {
-    return Status::Internal("spill entries out of order: \"" +
-                            std::string(name) + "\" after \"" + last_name_ +
-                            "\"");
-  }
-  AV_RETURN_NOT_OK(out_.AppendPod(key));
-  const uint32_t len = static_cast<uint32_t>(name.size());
-  AV_RETURN_NOT_OK(out_.AppendPod(len));
-  AV_RETURN_NOT_OK(out_.Append(name.data(), len));
-  AV_RETURN_NOT_OK(out_.AppendPod(sum_impurity));
-  AV_RETURN_NOT_OK(out_.AppendPod(columns));
-  last_name_.assign(name);
-  ++count_;
-  return Status::OK();
-}
-
-Status SpillRunWriter::Finish() {
-  if (!open_) return Status::Internal("spill writer not open");
-  open_ = false;
-  AV_RETURN_NOT_OK(out_.AppendPod(count_));
-  AV_RETURN_NOT_OK(out_.Commit());
-  bytes_ = out_.committed_bytes();
-  return Status::OK();
-}
-
-Result<uint64_t> WriteSpillRun(const PatternIndex& chunk,
-                               const std::string& path) {
-  SpillRunWriter writer;
-  AV_RETURN_NOT_OK(writer.Open(path));
-  for (const PatternIndex::SortedRow& row : chunk.SortedRows()) {
-    AV_RETURN_NOT_OK(writer.Append(row.key, row.name, row.stats->sum_impurity,
-                                   row.stats->columns));
-  }
-  AV_RETURN_NOT_OK(writer.Finish());
-  return writer.bytes_written();
+  return chunk.Write(path, {.sync = false});
 }
 
 Status SpillRunCursor::Open(const std::string& path) {
   path_ = path;
+  AV_RETURN_NOT_OK(file_.Open(path));
   // Whole-payload checksum first (streamed, constant memory): a torn,
-  // bit-rotted or foreign file is rejected before any entry is parsed.
-  auto len = VerifyTrailerFile(path);
+  // bit-rotted or foreign file is rejected before any entry is framed.
+  auto len = VerifyTrailerFile(file_);
   if (!len.ok()) return len.status();
-  file_.open(path, std::ios::binary);
-  if (!file_) return Status::IOError("cannot open spill run: " + path);
-  in_ = &file_;
-  return OpenStream(*len);
+  payload_ = *len;
+  return Start();
 }
 
 Status SpillRunCursor::OpenBuffer(std::string data) {
   path_ = "<memory>";
   auto len = VerifyTrailer(data);
   if (!len.ok()) return len.status();
-  mem_.str(std::move(data));
-  mem_.clear();
-  in_ = &mem_;
-  return OpenStream(*len);
+  payload_ = read_ = filled_ = static_cast<size_t>(*len);
+  window_ = std::move(data);
+  return Start();
 }
 
-Status SpillRunCursor::OpenStream(uint64_t payload_len) {
-  char magic[kMagicBytes];
-  if (payload_len < kMagicBytes + sizeof(remaining_)) {
-    return Status::Corruption("spill run payload too small: " + path_);
+Status SpillRunCursor::Start() {
+  if (read_ < payload_) AV_RETURN_NOT_OK(Refill(index_file::kHeaderBytes));
+  const std::string_view head = Unread();
+  if (!head.starts_with(index_file::kMagic)) {
+    return Status::Corruption("spill run is not an AVIDX003 file: " + path_);
   }
-  in_->read(magic, sizeof(magic));
-  if (!*in_) return Status::Corruption("truncated spill run: " + path_);
-  if (std::memcmp(magic, kSpillMagic, sizeof(magic)) != 0) {
-    return Status::Corruption("bad spill run magic: " + path_);
+  auto count = index_file::ReadCount(head, payload_);
+  if (!count.ok()) {
+    return Status::Corruption(count.status().message() + ": " + path_);
   }
-  // The count is the last 8 payload bytes.
-  entries_end_ = payload_len - sizeof(remaining_);
-  in_->seekg(static_cast<std::streamoff>(entries_end_));
-  in_->read(reinterpret_cast<char*>(&remaining_), sizeof(remaining_));
-  if (!*in_) {
-    return Status::Corruption("truncated spill run count: " + path_);
-  }
-  in_->seekg(static_cast<std::streamoff>(kMagicBytes));
-  pos_ = kMagicBytes;
-  // Size-clamp the entry count before trusting it (same policy as
-  // PatternIndex::Load): every entry takes at least kMinEntryBytes.
-  if (entries_end_ < pos_ ||
-      remaining_ > (entries_end_ - pos_) / kMinEntryBytes) {
-    return Status::Corruption("spill entry count exceeds file size: " + path_);
-  }
-  valid_ = false;
-  entry_.name.clear();
+  remaining_ = *count;
+  pos_ += index_file::kHeaderBytes;
   return Next();
 }
 
+Status SpillRunCursor::Refill(size_t need) {
+  std::memmove(window_.data(), window_.data() + pos_, filled_ - pos_);
+  filled_ -= pos_;
+  pos_ = 0;
+  if (window_.size() < need) window_.resize(std::max(need, kWindowBytes));
+  const size_t n = static_cast<size_t>(
+      std::min<uint64_t>(window_.size() - filled_, payload_ - read_));
+  AV_RETURN_NOT_OK(file_.ReadAt(read_, window_.data() + filled_, n));
+  filled_ += n;
+  read_ += n;
+  return Status::OK();
+}
+
 Status SpillRunCursor::Next() {
+  using index_file::FrameError;
+  const bool had_entry = std::exchange(valid_, false);
   if (remaining_ == 0) {
-    valid_ = false;
-    // A fully-read run must land exactly on the end of the entry region:
-    // trailing slack means the count under-reports the entries actually
-    // written (a checksum only proves the file matches what the writer
-    // framed, not that the count was right).
-    if (pos_ != entries_end_) {
+    // A fully-read run must end exactly where its last entry does: slack
+    // means the count under-reports the entries written (a checksum only
+    // proves the file matches what the writer framed, not that the count
+    // was right).
+    if (pos_ != filled_ || read_ != payload_) {
       return Status::Corruption("spill run count under-reports entries: " +
                                 path_);
     }
     return Status::OK();
   }
   --remaining_;
-  SpillEntry next;
-  uint32_t len = 0;
-  if (entries_end_ - pos_ < sizeof(next.key) + sizeof(len)) {
-    valid_ = false;
-    return Status::Corruption("truncated spill run entry: " + path_);
+  index_file::Entry next;
+  size_t size = 0;
+  FrameError framed = index_file::FrameEntry(Unread(), &next, &size);
+  // Past the window's end: read on (an image has nothing more to read).
+  while (framed == FrameError::kTruncated && read_ < payload_) {
+    AV_RETURN_NOT_OK(Refill(size));
+    framed = index_file::FrameEntry(Unread(), &next, &size);
   }
-  in_->read(reinterpret_cast<char*>(&next.key), sizeof(next.key));
-  in_->read(reinterpret_cast<char*>(&len), sizeof(len));
-  pos_ += sizeof(next.key) + sizeof(len);
-  if (!*in_ || len > kMaxNameBytes) {
-    valid_ = false;
-    return Status::Corruption("bad name length in spill run: " + path_);
-  }
-  if (entries_end_ - pos_ <
-      len + sizeof(next.sum_impurity) + sizeof(next.columns)) {
-    valid_ = false;
-    return Status::Corruption("truncated spill run entry: " + path_);
-  }
-  next.name.resize(len);
-  in_->read(next.name.data(), len);
-  in_->read(reinterpret_cast<char*>(&next.sum_impurity),
-            sizeof(next.sum_impurity));
-  in_->read(reinterpret_cast<char*>(&next.columns), sizeof(next.columns));
-  pos_ += len + sizeof(next.sum_impurity) + sizeof(next.columns);
-  if (!*in_) {
-    valid_ = false;
-    return Status::Corruption("truncated spill run entry: " + path_);
+  if (framed != FrameError::kNone) {
+    return Status::Corruption((framed == FrameError::kBadLength
+                                   ? "bad name length in spill run: "
+                                   : "truncated spill run entry: ") +
+                              path_);
   }
   if (next.key != PolyHash64(next.name)) {
-    valid_ = false;
     return Status::Corruption("key/name mismatch in spill run: " + path_);
   }
-  if (valid_ && next.name <= entry_.name) {
-    valid_ = false;
+  if (had_entry && next.name <= entry_.name) {
     return Status::Corruption("unsorted spill run: " + path_);
   }
-  entry_ = std::move(next);
+  entry_.key = next.key;
+  entry_.name.assign(next.name);
+  entry_.sum_impurity = next.sum_impurity;
+  entry_.columns = next.columns;
+  pos_ += size;
   valid_ = true;
   return Status::OK();
 }
@@ -260,24 +185,25 @@ Status MergeSpillRunsBounded(std::vector<std::string> paths, size_t max_fanin,
     // floating-point fold shape — the in-memory reduce is a strict left
     // fold ((P0+P1)+P2)+P3 over chunk partials, and only a left-cascade
     // reproduces it exactly: fold(fold(P0..Pk), Pk+1, ...) IS the full
-    // fold. The accumulated prefix is re-read once per pass; with fan-in
-    // derived from any realistic budget a single pass covers every run, so
-    // the cascade is a tiny-budget fallback, not the common case.
+    // fold. The accumulated prefix is built in memory as an index (no
+    // larger than the one the final pass builds anyway), written back as a
+    // run and re-read once per pass; with fan-in derived from any realistic
+    // budget a single pass covers every run, so the cascade is a
+    // tiny-budget fallback, not the common case.
     ++passes;
+    PatternIndex prefix;
+    AV_RETURN_NOT_OK(MergeSpillRuns(
+        std::span<const std::string>(paths.data(), max_fanin),
+        [&prefix](SpillEntry&& e) {
+          // Each name arrives once, already folded in run order, so the
+          // index stores its sums as they are.
+          prefix.InsertAggregate(e.key, e.name, e.sum_impurity, e.columns);
+        }));
     const std::string out_path =
         (std::filesystem::path(tmp_dir) /
          ("merge_" + std::to_string(passes) + ".avspill"))
             .string();
-    SpillRunWriter writer;
-    AV_RETURN_NOT_OK(writer.Open(out_path));
-    Status append = Status::OK();
-    AV_RETURN_NOT_OK(MergeSpillRuns(
-        std::span<const std::string>(paths.data(), max_fanin),
-        [&](SpillEntry&& e) {
-          if (append.ok()) append = writer.Append(e);
-        }));
-    AV_RETURN_NOT_OK(append);
-    AV_RETURN_NOT_OK(writer.Finish());
+    AV_RETURN_NOT_OK(WriteSpillRun(prefix, out_path).status());
     // The merged inputs are dead; reclaim the disk space now instead of at
     // end-of-build (bounds peak spill footprint on deep cascades).
     for (size_t i = 0; i < max_fanin; ++i) {

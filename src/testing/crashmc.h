@@ -42,7 +42,7 @@
 //          (fsync'd formats; spill runs opt out — they are ephemeral).
 //        * No torn acceptance: bytes that match no committed generation
 //          must be impossible (fsync'd formats) or rejected by the loader
-//          (checksummed-but-unsynced formats, e.g. AVSPILL02).
+//          (checksummed-but-unsynced writes, e.g. spill runs).
 //        * No debris promotion: leftover *.avtmp files never affect the
 //          recovery of the target (and an optional per-state directory
 //          check can assert directory-level loaders skip them).
@@ -135,7 +135,7 @@ struct CheckOptions {
   /// The format fsyncs (file + parent dir): completed saves must survive
   /// every crash, and a non-generation byte string at the target is itself
   /// a violation (it cannot happen under correct fsync/rename ordering).
-  /// Off for ephemeral formats (AVSPILL02 spill runs, sync=false): a torn
+  /// Off for ephemeral writes (spill runs, sync=false): a torn
   /// target may be visible after a crash, but the loader must reject it.
   bool durable = true;
   /// Hard cap on candidate states (pre-dedup) across all crash points; the

@@ -181,7 +181,8 @@ TEST(CrashModelTest, SpillRunSaveNeverYieldsAcceptedTornRun) {
   CheckOptions opts;
   opts.durable = false;
   opts.max_states = StateBudget();
-  ExpectClean("AVSPILL02", CheckCrashStates(recorder.log(), {spec}, opts));
+  ExpectClean("spill run (AVIDX003, unsynced)",
+              CheckCrashStates(recorder.log(), {spec}, opts));
 }
 
 TEST(CrashModelTest, CorpusCsvSaveSurvivesEveryCrashState) {

@@ -20,6 +20,7 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
+#include "index/spill.h"
 #include "testing/crashmc.h"
 #include "tests/test_util.h"
 
@@ -229,12 +230,18 @@ TEST(ReadFileToStringTest, MissingFileIsIOError) {
 
 TEST(ReadFileToStringTest, DirectoryIsIOError) {
   // A directory opens for reading, but it has no bytes to read: a reader
-  // that took its stream size (2^63 - 1) would try to allocate that.
+  // that took its stream size (2^63 - 1) would try to allocate that. Every
+  // file reader opens through RegularFile and says why it refuses.
   ScopedTempDir dir = MakeTempDir();
-  auto r = ReadFileToString(dir.path());
-  EXPECT_EQ(r.status().code(), StatusCode::kIOError) << r.status().ToString();
-  auto image = ReadFileImage(dir.path());
-  EXPECT_EQ(image.status().code(), StatusCode::kIOError);
+  SpillRunCursor cursor;
+  for (const Status& st :
+       {ReadFileToString(dir.path()).status(),
+        ReadFileImage(dir.path()).status(),
+        VerifyTrailerFile(dir.path()).status(), cursor.Open(dir.path())}) {
+    EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+    EXPECT_NE(st.message().find("not a regular file"), std::string::npos)
+        << st.ToString();
+  }
 }
 
 /// The trailer checksum folded one byte at a time, as the format defines

@@ -5,8 +5,11 @@
 // index byte-identity golden (the load-bearing contract: one logical lake,
 // four encodings, one AVIDX003 byte stream).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -291,6 +294,44 @@ TEST(AvcolTest, RejectsCorruptionEverywhere) {
             .ok())
         << "len " << len;
   }
+}
+
+TEST(AvcolTest, ForgedColumnCountIsCorruptionNotAnAllocation) {
+#if defined(AV_ASAN) || defined(AV_TSAN)
+  GTEST_SKIP() << "a sanitizer's shadow memory does not fit an address-space "
+                  "limit";
+#else
+  // An 8 MiB file of empty columns whose count claims 2^32 - 1 of them,
+  // under a restamped trailer (the checksum is not a MAC). A reader that
+  // sized its column table from the count would ask for 8 MiB x 160 bytes.
+  std::string image(kAvcolMagic, sizeof(kAvcolMagic));
+  const uint32_t ncols = 0xFFFFFFFF;
+  image.append(reinterpret_cast<const char*>(&ncols), sizeof(ncols));
+  image.resize((size_t{8} << 20) - kTrailerBytes, '\0');
+  const uint64_t len = image.size();
+  const uint64_t digest = PolyHash64(image);
+  image.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  image.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  image.append(kTrailerMagic, sizeof(kTrailerMagic));
+
+  // The read runs in a child whose address space may grow 512 MiB past its
+  // size at the fork: an allocation past that kills it with bad_alloc.
+  EXPECT_EXIT(
+      {
+        std::ifstream statm("/proc/self/statm");
+        uint64_t pages = 0;
+        statm >> pages;
+        const rlim_t bytes = static_cast<rlim_t>(
+            pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
+        struct rlimit limit;
+        ::getrlimit(RLIMIT_AS, &limit);
+        limit.rlim_cur = bytes + (rlim_t{512} << 20);
+        ::setrlimit(RLIMIT_AS, &limit);
+        const auto table = TableFromAvcolBuffer("forged", image);
+        std::_Exit(table.status().code() == StatusCode::kCorruption ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+#endif
 }
 
 // ---------------------------------------------------------------- gzip

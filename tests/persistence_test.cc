@@ -77,7 +77,7 @@ std::string GoldenRuleSetBytes() {
   return Slurp(path);
 }
 
-/// A small saved AVSPILL02 run image.
+/// A small spill run image (an AVIDX003 file, written without fsync).
 std::string GoldenSpillBytes() {
   PatternIndex chunk;
   chunk.Add("<digit>+", 0.25);
@@ -179,15 +179,14 @@ TEST(PersistenceTest, RuleSetReadsPreviousUntrailedFormat) {
 }
 
 TEST(PersistenceTest, SpillRejectsPreviousUntrailedFormat) {
-  const std::string v2 = GoldenSpillBytes();
-  auto payload_len = VerifyTrailer(v2);
+  const std::string run = GoldenSpillBytes();
+  auto payload_len = VerifyTrailer(run);
   ASSERT_TRUE(payload_len.ok());
-  // AVSPILL01 layout: magic, u64 count (header), entries — no trailer. A
-  // run never outlives the build that wrote it, so no reader meets one.
-  const std::string payload = v2.substr(0, *payload_len);
-  const std::string entries = payload.substr(9, payload.size() - 9 - 8);
-  const std::string count = payload.substr(payload.size() - 8);
-  EXPECT_EQ(DrainSpill("AVSPILL01" + count + entries).code(),
+  // AVSPILL01 layout: 9-byte magic, u64 count (header), entries — no
+  // trailer. A run never outlives the build that wrote it, so no reader
+  // meets one.
+  const std::string payload = run.substr(0, *payload_len);
+  EXPECT_EQ(DrainSpill("AVSPILL01" + payload.substr(8)).code(),
             StatusCode::kCorruption);
 
   // Modern magic without its trailer: rejected.

@@ -1,14 +1,15 @@
-// Out-of-core indexing: AVSPILL02 run round-trips, the k-way merge's
-// byte-identity contract against the in-memory reduce, corruption
-// rejection (both bit-rot the checksum catches and adversarial rewrites it
-// cannot), temp-file hygiene, and the memory-budget residency bound.
+// Out-of-core indexing: spill runs are AVIDX003 index files and round-trip
+// through the cursor, the k-way merge's byte-identity contract against the
+// in-memory reduce, corruption rejection (both bit-rot the checksum catches
+// and adversarial rewrites it cannot), temp-file hygiene, and the
+// memory-budget residency bound.
 #include "index/spill.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,14 +33,40 @@ using testutil::MakeTempDir;
 
 /// Serialized AVIDX003 bytes of an index (the determinism contract's
 /// currency: two indexes are "identical" iff these bytes are equal).
+std::string Slurp(const std::string& path) {
+  auto bytes = ReadFileToString(path);
+  EXPECT_TRUE(bytes.ok()) << bytes.status().ToString();
+  return bytes.ok() ? *std::move(bytes) : std::string();
+}
+
 std::string SaveBytes(const PatternIndex& idx) {
   ScopedTempDir dir = MakeTempDir();
   const std::string path = dir.File("idx.bin");
   EXPECT_TRUE(idx.Save(path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
+  return Slurp(path);
+}
+
+/// Every entry a cursor walk yields, and the status the walk ends with.
+struct Walk {
+  std::vector<SpillEntry> entries;
+  Status status;
+};
+Walk WalkRun(SpillRunCursor& cursor, Status st) {
+  Walk walk;
+  while (st.ok() && cursor.valid()) {
+    walk.entries.push_back(cursor.entry());
+    st = cursor.Next();
+  }
+  walk.status = st;
+  return walk;
+}
+Walk WalkFile(const std::string& path) {
+  SpillRunCursor cursor;
+  return WalkRun(cursor, cursor.Open(path));
+}
+Walk WalkImage(std::string image) {
+  SpillRunCursor cursor;
+  return WalkRun(cursor, cursor.OpenBuffer(std::move(image)));
 }
 
 // ---------------------------------------------------------------- TempDir
@@ -94,15 +121,11 @@ TEST(SpillRunTest, RoundTripsSortedEntries) {
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, fs::file_size(path));
 
-  SpillRunCursor cursor;
-  ASSERT_TRUE(cursor.Open(path).ok());
-  std::vector<SpillEntry> entries;
-  while (cursor.valid()) {
-    entries.push_back(cursor.entry());
-    ASSERT_TRUE(cursor.Next().ok());
-  }
+  const Walk walk = WalkFile(path);
+  ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
+  const std::vector<SpillEntry>& entries = walk.entries;
   ASSERT_EQ(entries.size(), 3u);
-  // Sorted by canonical string (the AVIDX002 Save order).
+  // Sorted by canonical string (the AVIDX003 Save order).
   EXPECT_EQ(entries[0].name, "<digit>+");
   EXPECT_EQ(entries[1].name, "<letter>+");
   EXPECT_EQ(entries[2].name, "Mar <digit>{2}");
@@ -111,16 +134,72 @@ TEST(SpillRunTest, RoundTripsSortedEntries) {
   for (const SpillEntry& e : entries) EXPECT_EQ(e.key, PolyHash64(e.name));
 }
 
-TEST(SpillRunTest, WriterRejectsOutOfOrderAppends) {
+TEST(SpillRunTest, RunIsTheChunksIndexFile) {
+  PatternIndex chunk;
+  for (int i = 0; i < 40; ++i) {
+    chunk.Add("<letter>{" + std::to_string(i) + "}", 0.125 * (i % 5));
+    chunk.Add("<digit>{" + std::to_string(i % 7) + "}", 1.0 / (i + 3));
+  }
   ScopedTempDir dir = MakeTempDir();
-  SpillRunWriter writer;
-  ASSERT_TRUE(writer.Open(dir.File("run.avspill")).ok());
-  SpillEntry b{PolyHash64("b"), "b", 0.1, 1};
-  SpillEntry a{PolyHash64("a"), "a", 0.2, 1};
-  ASSERT_TRUE(writer.Append(b).ok());
-  const Status st = writer.Append(a);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  const std::string run = dir.File("run.avspill");
+  const std::string saved = dir.File("saved.avidx");
+  ASSERT_TRUE(WriteSpillRun(chunk, run).ok());
+  ASSERT_TRUE(chunk.Save(saved).ok());
+  const std::string run_bytes = Slurp(run);
+  EXPECT_EQ(run_bytes, Slurp(saved));
+  EXPECT_EQ(run_bytes.substr(0, 8), "AVIDX003");
+
+  // A run loads as an index, and an index file walks as a run, in name
+  // order with the index's own statistics.
+  auto loaded = PatternIndex::Load(run);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(SaveBytes(*loaded), run_bytes);
+  std::vector<SpillEntry> expected;
+  chunk.ForEachSorted(
+      [&](uint64_t key, const std::string& name, const PatternIndex::Entry& e) {
+        expected.push_back({key, name, e.sum_impurity, e.columns});
+      });
+  for (const Walk& walk : {WalkFile(saved), WalkImage(run_bytes)}) {
+    ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
+    ASSERT_EQ(walk.entries.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(walk.entries[i].key, expected[i].key);
+      EXPECT_EQ(walk.entries[i].name, expected[i].name);
+      EXPECT_EQ(walk.entries[i].sum_impurity, expected[i].sum_impurity);
+      EXPECT_EQ(walk.entries[i].columns, expected[i].columns);
+    }
+  }
+}
+
+TEST(SpillRunTest, CursorWindowSlidesAcrossEntriesOfAnySize) {
+  // Many windows' worth of short entries, with names around and far past
+  // the window size among them: the file walk refills and grows its window
+  // and must yield what the whole-image walk yields.
+  PatternIndex chunk;
+  for (int i = 0; i < 3000; ++i) {
+    chunk.Add("<digit>{" + std::to_string(i) + "} pad", 0.5);
+  }
+  for (const size_t len :
+       {SpillRunCursor::kWindowBytes - 40, SpillRunCursor::kWindowBytes,
+        SpillRunCursor::kWindowBytes + 1, 5 * SpillRunCursor::kWindowBytes}) {
+    chunk.Add(std::string(len, 'a') + "<digit>", 0.25);
+    chunk.Add("<digit>{" + std::to_string(len) + "} " + std::string(len, 'z'),
+              0.75);
+  }
+  ScopedTempDir dir = MakeTempDir();
+  const std::string run = dir.File("run.avspill");
+  ASSERT_TRUE(WriteSpillRun(chunk, run).ok());
+  const Walk from_file = WalkFile(run);
+  const Walk from_image = WalkImage(Slurp(run));
+  ASSERT_TRUE(from_file.status.ok()) << from_file.status.ToString();
+  ASSERT_TRUE(from_image.status.ok()) << from_image.status.ToString();
+  ASSERT_EQ(from_file.entries.size(), chunk.size());
+  ASSERT_EQ(from_image.entries.size(), chunk.size());
+  for (size_t i = 0; i < chunk.size(); ++i) {
+    EXPECT_EQ(from_file.entries[i].name, from_image.entries[i].name);
+    EXPECT_EQ(from_file.entries[i].sum_impurity,
+              from_image.entries[i].sum_impurity);
+  }
 }
 
 TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
@@ -132,15 +211,8 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
   ScopedTempDir dir = MakeTempDir();
   const std::string good = dir.File("good.avspill");
   ASSERT_TRUE(WriteSpillRun(chunk, good).ok());
-  const auto size = fs::file_size(good);
-  std::string bytes;
-  {
-    std::ifstream in(good, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    bytes = buffer.str();
-  }
-  ASSERT_EQ(bytes.size(), size);
+  const std::string bytes = Slurp(good);
+  ASSERT_EQ(bytes.size(), fs::file_size(good));
 
   auto write_variant = [&](const std::string& name,
                            const std::string& content) {
@@ -148,12 +220,13 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
     std::ofstream(path, std::ios::binary) << content;
     return path;
   };
+  // Rejected from a file and from an image alike.
   auto expect_corrupt = [](const std::string& path) {
-    SpillRunCursor cursor;
-    Status st = cursor.Open(path);
-    while (st.ok() && cursor.valid()) st = cursor.Next();
-    EXPECT_FALSE(st.ok()) << path;
-    EXPECT_EQ(st.code(), StatusCode::kCorruption) << path;
+    for (const Walk& walk : {WalkFile(path), WalkImage(Slurp(path))}) {
+      EXPECT_FALSE(walk.status.ok()) << path;
+      EXPECT_EQ(walk.status.code(), StatusCode::kCorruption)
+          << path << ": " << walk.status.ToString();
+    }
   };
 
   // Rewrites the checksum trailer to match the (tampered) payload — the
@@ -167,10 +240,18 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
     file.append(kTrailerMagic, sizeof(kTrailerMagic));
     return file;
   };
+  // The entry count sits in the header, after the 8-byte magic.
+  auto with_count = [&](uint64_t count) {
+    std::string file = bytes;
+    std::memcpy(file.data() + 8, &count, sizeof(count));
+    return patch_trailer(file);
+  };
 
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
   expect_corrupt(write_variant("bad_magic.avspill", bad_magic));
+  expect_corrupt(write_variant("bad_magic_restamped.avspill",
+                               patch_trailer(bad_magic)));
 
   // Torn tail (the crash shape): the trailer is gone, so Open rejects.
   expect_corrupt(
@@ -178,10 +259,10 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
 
   // Single-bit rot anywhere in the payload: the whole-payload checksum
   // catches it at Open.
-  // File tail layout: name | sum(8) | columns(4) | count(8) | trailer(24),
-  // so size-45 lands on the last byte of the last entry's name.
+  // File tail layout: name | sum(8) | columns(4) | trailer(24), so size-37
+  // lands on the last byte of the last entry's name.
   std::string flipped = bytes;
-  flipped[bytes.size() - 45] ^= 0x40;
+  flipped[bytes.size() - 37] ^= 0x40;
   expect_corrupt(write_variant("bit_rot.avspill", flipped));
 
   // --- adversarial variants with a RECOMPUTED (valid) trailer ---
@@ -190,22 +271,34 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
   expect_corrupt(write_variant("key_mismatch.avspill", patch_trailer(flipped)));
 
   // Entry count inflated past what the file can hold: the size clamp.
-  std::string inflated = bytes;
-  inflated[inflated.size() - kTrailerBytes - 8] =
-      static_cast<char>(0xFF);  // count low byte (end of payload)
-  expect_corrupt(
-      write_variant("inflated_count.avspill", patch_trailer(inflated)));
+  expect_corrupt(write_variant("inflated_count.avspill", with_count(255)));
+  // Inflated by one, within the clamp: the walk runs off the last entry.
+  expect_corrupt(write_variant("inflated_by_one.avspill", with_count(4)));
 
   // Entry count under-reporting by one: a cursor that trusted it would
   // silently drop the last entry; the exhaustion check must reject.
-  std::string deflated = bytes;
-  deflated[deflated.size() - kTrailerBytes - 8] -= 1;
-  expect_corrupt(
-      write_variant("deflated_count.avspill", patch_trailer(deflated)));
+  expect_corrupt(write_variant("deflated_count.avspill", with_count(2)));
+
+  // --- files a run never is ---
+
+  // The untrailed AVIDX002 image of the same index: Load reads it, a
+  // cursor does not (a run never outlives the build that wrote it).
+  const std::string payload = bytes.substr(0, bytes.size() - kTrailerBytes);
+  std::string v2 = payload;
+  v2[7] = '2';
+  ASSERT_TRUE(PatternIndex::LoadFromBuffer(v2).ok());
+  expect_corrupt(write_variant("untrailed_v2.avidx", v2));
+
+  // An AVSPILL02 run, the previous run format: 9-byte magic, the entries,
+  // the count after them, then the trailer.
+  const std::string entries = payload.substr(16);
+  expect_corrupt(write_variant(
+      "old_run.avspill",
+      patch_trailer("AVSPILL02" + entries + payload.substr(8, 8) +
+                    std::string(kTrailerBytes, '\0'))));
 
   // The intact file still reads fine (the variants above are the problem).
-  SpillRunCursor cursor;
-  EXPECT_TRUE(cursor.Open(good).ok());
+  EXPECT_TRUE(WalkFile(good).status.ok());
 }
 
 // ------------------------------------------------------- Merge determinism

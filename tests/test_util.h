@@ -5,12 +5,20 @@
 
 // AV_TSAN marks ThreadSanitizer builds. Death tests fork, and forking an
 // instrumented multi-threaded test binary is unreliable under TSan — guard
-// death tests with #ifndef AV_TSAN.
+// death tests with #ifndef AV_TSAN. AV_ASAN marks AddressSanitizer builds,
+// whose shadow memory rules out a test under an address-space limit.
 #if defined(__SANITIZE_THREAD__)
 #define AV_TSAN 1
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define AV_TSAN 1
+#endif
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#define AV_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define AV_ASAN 1
 #endif
 #endif
 
