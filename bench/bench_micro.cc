@@ -720,4 +720,18 @@ BENCHMARK(BM_ServerSaturation)->Threads(4)->UseRealTime();
 }  // namespace
 }  // namespace av
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // The machine record every result carries (the JSON format's "context"),
+  // taken before any bench forces a tokenizer arm. bench/run_bench.sh
+  // copies it into each BENCH_history.jsonl line.
+  benchmark::AddCustomContext(
+      "tokenizer_arm",
+      av::simd::TokenizerArmName(av::simd::TokenizerDispatch()));
+  benchmark::AddCustomContext("compiler", AV_BENCH_COMPILER);
+  benchmark::AddCustomContext("build_type", AV_BENCH_BUILD_TYPE);
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

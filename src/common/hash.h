@@ -23,9 +23,9 @@ inline uint64_t HashCombine(uint64_t a, uint64_t b) {
 
 /// Polynomial hash constants: multiplier (the odd FNV prime) and seed.
 /// Unlike FNV-1a, h -> h * P + c composes: hashing a concatenation equals
-/// folding per-fragment affine maps (see AtomKeyCoeffs in pattern.h), which
-/// is what lets enumerators compute pattern keys in one multiply-add per
-/// atom instead of one multiply per byte.
+/// folding per-fragment affine maps (see PolyPow below), which is what lets
+/// the offline enumerator key a pattern in one multiply-add per atom from
+/// texts it rendered once, instead of one multiply per byte.
 inline constexpr uint64_t kPolyMul = 0x100000001b3ULL;
 inline constexpr uint64_t kPolySeed = 0xcbf29ce484222325ULL;
 

@@ -19,9 +19,11 @@
 //   last    24            AVTRAIL1 checksum trailer (common/durable_file.h)
 //
 // Every column must carry the same row count (the Table invariant). The
-// loader verifies the trailer first, then validates structurally — offsets
-// nondecreasing, final offset == blob length, exact payload consumption —
-// so a torn or hostile file is rejected as kCorruption, never sliced.
+// loader verifies the trailer first, then frames the whole payload —
+// headers, row agreement, offsets nondecreasing, final offset == blob
+// length, exact payload consumption — before it builds a single column, so
+// a torn or hostile file is rejected as kCorruption, never sliced, and a
+// forged count costs no memory.
 #pragma once
 
 #include <string>
@@ -39,7 +41,8 @@ inline constexpr char kAvcolMagic[8] = {'A', 'V', 'C', 'O', 'L', '0', '0',
 /// Writes `table` as an AVCOL1 file (atomic + checksummed).
 Status WriteTableAvcol(const Table& table, const std::string& path);
 
-/// Parses an in-memory AVCOL1 image (trailer included).
+/// Parses an in-memory AVCOL1 image (trailer included). Nothing is built
+/// until the whole image has framed clean.
 Result<Table> TableFromAvcolBuffer(std::string_view name,
                                    std::string_view bytes);
 

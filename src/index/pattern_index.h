@@ -58,10 +58,11 @@ class PatternIndex {
 
   /// Records one column's evidence for the pattern with interned key `key`
   /// (call only when the column has at least one matching value, per
-  /// Definition 3). `name_fn` produces the canonical string form and is
-  /// invoked only the first time `key` is seen. Statistics live in a dense
-  /// key->stats table (24-byte slots, cache-friendly probes); the name is
-  /// appended to the shard's arena on first insertion.
+  /// Definition 3). `name_fn` returns the canonical string form (any type
+  /// convertible to std::string_view) and is invoked only the first time
+  /// `key` is seen and on the sampled collision checks. Statistics live in a
+  /// dense key->stats table (24-byte slots, cache-friendly probes); the name
+  /// is copied into the shard's arena on first insertion.
   template <class NameFn>
   void AddKeyed(uint64_t key, double impurity, NameFn&& name_fn) {
     Shard& shard = ShardFor(key);

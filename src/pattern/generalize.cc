@@ -134,7 +134,6 @@ ShapeOptions::ShapeOptions(const ColumnProfile& profile,
           TokenText(group.proto_value, group.proto_tokens[pos])));
       o.mask = Bitset(n_local_, true);
       o.weight = group_weight_;
-      AtomKeyCoeffs(o.atom, &o.key_mul, &o.key_add);
       opts.push_back(std::move(o));
       continue;
     }
@@ -370,7 +369,6 @@ ShapeOptions::ShapeOptions(const ColumnProfile& profile,
                        if (a.weight != b.weight) return a.weight > b.weight;
                        return false;
                      });
-    for (Option& o : opts) AtomKeyCoeffs(o.atom, &o.key_mul, &o.key_add);
   }
 }
 

@@ -178,16 +178,19 @@ class ShapeOptions {
       uint64_t min_weight, size_t max_patterns,
       const std::function<void(Pattern&&, uint64_t)>& cb) const;
 
-  /// Allocation-free variant of EnumerateUnion for the offline indexer:
-  /// `cb(key, weight, materialize)` receives the canonical 64-bit interned
-  /// key (== PatternKey of the pattern), its weighted match count, and a
-  /// materializer building the Pattern on demand — the hot loop never
-  /// constructs a Pattern or its string form unless the index actually
-  /// needs it (first occurrence). Emissions are software-pipelined: each
-  /// key is announced to `prefetch` several emissions before `cb` sees it,
-  /// so the consumer's hash-table probe finds its cache line already warm.
-  /// Delivery order is FIFO (deterministic). Templated so the whole chain
-  /// inlines into the caller (defined below in this header).
+  /// EnumerateUnion for the offline indexer, without a Pattern per
+  /// emission: `cb(key, weight, name)` receives the canonical 64-bit
+  /// interned key (== PatternKey of the pattern), its weighted match count,
+  /// and `name`, whose `name()` returns the pattern's canonical string form
+  /// (== ToString) as a std::string_view. Each option's text is rendered
+  /// once per call (AppendAtomText), and `name()` concatenates the chosen
+  /// options' texts into one buffer reused across emissions: the view stays
+  /// valid until `cb` returns, and a consumer that never calls `name()` (a
+  /// key it has seen) pays nothing for it. Emissions are software-pipelined:
+  /// each key is announced to `prefetch` several emissions before `cb` sees
+  /// it, so the consumer's hash-table probe finds its cache line already
+  /// warm. Delivery order is FIFO and equals EnumerateUnion's. Templated so
+  /// the whole chain inlines into the caller (defined below in this header).
   template <class Prefetch, class Cb>
   void EnumerateUnionKeyed(uint64_t min_weight, size_t max_patterns,
                            const Prefetch& prefetch, const Cb& cb) const;
@@ -214,9 +217,7 @@ class ShapeOptions {
   struct Option {
     Atom atom;
     Bitset mask;
-    uint64_t weight = 0;   ///< weighted count of satisfied values
-    uint64_t key_mul = 1;  ///< affine key coefficients of `atom`
-    uint64_t key_add = 0;  ///< (see AtomKeyCoeffs in pattern.h)
+    uint64_t weight = 0;  ///< weighted count of satisfied values
   };
 
   /// Shared DFS of the union enumeration; `leaf(chosen, weight)` is invoked
@@ -316,52 +317,85 @@ void ShapeOptions::EnumerateUnionKeyed(uint64_t min_weight,
                                        size_t max_patterns,
                                        const Prefetch& prefetch,
                                        const Cb& cb) const {
+  const size_t n = options_.size();
+  // Every option's canonical text, rendered once: `texts` holds them back
+  // to back, and option i of position pos is `rendered[first[pos] + i]`,
+  // which locates its text and carries the affine key map of its bytes:
+  // folding the text into h is h * PolyPow(len) + PolyHashUpdate(0, text).
+  struct Rendered {
+    size_t begin;
+    size_t len;
+    uint64_t key_mul;
+    uint64_t key_add;
+  };
+  std::string texts;
+  std::vector<Rendered> rendered;
+  std::vector<size_t> first(n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    first[pos] = rendered.size();
+    for (const Option& o : options_[pos]) {
+      const size_t begin = texts.size();
+      AppendAtomText(o.atom, &texts);
+      const std::string_view text(texts.data() + begin,
+                                  texts.size() - begin);
+      rendered.push_back(
+          {begin, text.size(), PolyPow(text.size()), PolyHashUpdate(0, text)});
+    }
+  }
+
   // Pipeline depth: emissions sit in a ring between key computation (where
   // `prefetch` fires) and delivery to `cb`, overlapping the consumer's
   // cache misses across several independent probes.
   constexpr size_t kPipe = 8;
-  const size_t n = options_.size();
   struct Emission {
     uint64_t key;
     uint64_t weight;
   };
   Emission ring[kPipe];
-  // Per-slot copies of the DFS choices, so deferred materialization sees
-  // the choices as of emission time (the live vector keeps mutating).
-  std::vector<const Option*> ring_chosen(kPipe * n);
+  // Per-slot copies of the chosen options' `rendered` indices, so a
+  // deferred `name()` sees the choices as of emission time (the DFS keeps
+  // mutating its own).
+  std::vector<size_t> ring_chosen(kPipe * n);
   size_t head = 0;
   size_t count = 0;
 
-  const Option* const* current = nullptr;
-  const std::function<Pattern()> materialize = [&current, n] {
-    std::vector<Atom> atoms;
-    atoms.reserve(n);
-    for (size_t i = 0; i < n; ++i) AppendAtomMerged(atoms, current[i]->atom);
-    return Pattern(std::move(atoms));
+  std::string name_buf;
+  const size_t* current = nullptr;
+  const auto name = [&]() -> std::string_view {
+    name_buf.clear();
+    for (size_t pos = 0; pos < n; ++pos) {
+      const Rendered& r = rendered[current[pos]];
+      name_buf.append(texts.data() + r.begin, r.len);
+    }
+    return name_buf;
   };
   const auto flush_one = [&] {
     current = &ring_chosen[head * n];
-    cb(ring[head].key, ring[head].weight, materialize);
+    cb(ring[head].key, ring[head].weight, name);
     head = (head + 1) % kPipe;
     --count;
   };
 
   UnionDfs(min_weight, max_patterns,
            [&](const std::vector<const Option*>& chosen, uint64_t weight) {
-             // Fold the precomputed per-option affine maps: one multiply-add
-             // per position, no byte streaming. Literal merging does not
-             // change the canonical byte stream (merged literals render as
-             // the concatenation of their parts), so folding the raw choices
-             // equals PatternKey of the materialized pattern.
+             // Fold the per-option affine maps: one multiply-add per
+             // position, no byte streaming. Literal merging does not change
+             // the canonical byte stream (merged literals render as the
+             // concatenation of their parts), so folding the raw choices
+             // equals PatternKey of the merged pattern, and concatenating
+             // their texts equals its ToString.
+             const size_t tail = (head + count) % kPipe;
+             size_t* slot = &ring_chosen[tail * n];
              uint64_t key = kPolySeed;
-             for (const Option* o : chosen) {
-               key = key * o->key_mul + o->key_add;
+             for (size_t pos = 0; pos < n; ++pos) {
+               const size_t id = first[pos] + static_cast<size_t>(
+                                                  chosen[pos] -
+                                                  options_[pos].data());
+               slot[pos] = id;
+               key = key * rendered[id].key_mul + rendered[id].key_add;
              }
              prefetch(key);
-             const size_t tail = (head + count) % kPipe;
              ring[tail] = {key, weight};
-             std::copy(chosen.begin(), chosen.end(),
-                       ring_chosen.begin() + static_cast<long>(tail * n));
              if (++count == kPipe) flush_one();
            });
   while (count > 0) flush_one();

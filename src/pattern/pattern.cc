@@ -1,7 +1,7 @@
 #include "pattern/pattern.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 
 #include "common/hash.h"
 
@@ -9,31 +9,39 @@ namespace av {
 
 namespace {
 
-const char* AtomTag(AtomKind k) {
+/// The fixed bytes of a non-literal atom's text: all of it for <num> and
+/// the variable-length kinds, the part before the decimal length for the
+/// fixed-length kinds.
+std::string_view AtomHead(AtomKind k) {
   switch (k) {
     case AtomKind::kLiteral:
       return "";
     case AtomKind::kDigitsFix:
+      return "<digit>{";
     case AtomKind::kDigitsVar:
-      return "digit";
+      return "<digit>+";
     case AtomKind::kNum:
-      return "num";
+      return "<num>";
     case AtomKind::kLettersFix:
+      return "<letter>{";
     case AtomKind::kLettersVar:
-      return "letter";
+      return "<letter>+";
     case AtomKind::kLowerFix:
+      return "<lower>{";
     case AtomKind::kLowerVar:
-      return "lower";
+      return "<lower>+";
     case AtomKind::kUpperFix:
+      return "<upper>{";
     case AtomKind::kUpperVar:
-      return "upper";
+      return "<upper>+";
     case AtomKind::kAlnumFix:
+      return "<alnum>{";
     case AtomKind::kAlnumVar:
-      return "alnum";
+      return "<alnum>+";
     case AtomKind::kOtherVar:
-      return "other";
+      return "<other>+";
     case AtomKind::kAnyVar:
-      return "any";
+      return "<any>+";
   }
   return "?";
 }
@@ -44,44 +52,46 @@ bool IsFixKind(AtomKind k) {
          k == AtomKind::kUpperFix;
 }
 
+/// Calls `piece(bytes)` for each run of atom `a`'s canonical string-form
+/// bytes, in order: a literal's text in runs, with a one-byte escape piece
+/// (a backslash) ahead of each '<' and backslash it holds; otherwise the
+/// atom's head ("<digit>+", "<num>", "<letter>{"), then for the
+/// fixed-length kinds the decimal length and '}'. The one place those bytes
+/// are decided: AppendAtomText appends the pieces and PatternKey hashes
+/// them.
+template <class Piece>
+void ForEachAtomPiece(const Atom& a, const Piece& piece) {
+  if (a.kind == AtomKind::kLiteral) {
+    const std::string_view lit = a.lit;
+    size_t run = 0;
+    for (size_t i = 0; i < lit.size(); ++i) {
+      if (lit[i] == '<' || lit[i] == '\\') {
+        piece(std::string_view(lit.data() + run, i - run));
+        piece(std::string_view("\\", 1));
+        run = i;
+      }
+    }
+    piece(std::string_view(lit.data() + run, lit.size() - run));
+    return;
+  }
+  piece(AtomHead(a.kind));
+  if (IsFixKind(a.kind)) {
+    char digits[11];  // the decimal form of any uint32_t, then '}'
+    char* end = std::to_chars(digits, digits + 10, a.len).ptr;
+    *end++ = '}';
+    piece(std::string_view(digits, static_cast<size_t>(end - digits)));
+  }
+}
+
 }  // namespace
+
+void AppendAtomText(const Atom& a, std::string* out) {
+  ForEachAtomPiece(a, [out](std::string_view bytes) { out->append(bytes); });
+}
 
 std::string Pattern::ToString() const {
   std::string out;
-  for (const Atom& a : atoms_) {
-    switch (a.kind) {
-      case AtomKind::kLiteral:
-        for (char c : a.lit) {
-          if (c == '<' || c == '\\') out.push_back('\\');
-          out.push_back(c);
-        }
-        break;
-      case AtomKind::kDigitsFix:
-      case AtomKind::kLettersFix:
-      case AtomKind::kLowerFix:
-      case AtomKind::kUpperFix:
-      case AtomKind::kAlnumFix: {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "<%s>{%u}", AtomTag(a.kind), a.len);
-        out += buf;
-        break;
-      }
-      case AtomKind::kNum:
-        out += "<num>";
-        break;
-      case AtomKind::kDigitsVar:
-      case AtomKind::kLettersVar:
-      case AtomKind::kLowerVar:
-      case AtomKind::kUpperVar:
-      case AtomKind::kAlnumVar:
-      case AtomKind::kOtherVar:
-      case AtomKind::kAnyVar:
-        out += "<";
-        out += AtomTag(a.kind);
-        out += ">+";
-        break;
-    }
-  }
+  for (const Atom& a : atoms_) AppendAtomText(a, &out);
   return out;
 }
 
@@ -232,72 +242,12 @@ int Pattern::SpecificityScore() const {
   return score;
 }
 
-void AtomKeyCoeffs(const Atom& a, uint64_t* mul, uint64_t* add) {
-  // Streams the atom's canonical bytes, accumulating the affine map
-  // (m, v): folding the bytes into a hash state h yields h * m + v.
-  uint64_t m = 1;
-  uint64_t v = 0;
-  const auto feed = [&m, &v](char c) {
-    m *= kPolyMul;
-    v = v * kPolyMul + static_cast<unsigned char>(c);
-  };
-  const auto feed_str = [&feed](const char* s) {
-    while (*s != '\0') feed(*s++);
-  };
-  switch (a.kind) {
-    case AtomKind::kLiteral:
-      for (char c : a.lit) {
-        if (c == '<' || c == '\\') feed('\\');
-        feed(c);
-      }
-      break;
-    case AtomKind::kDigitsFix:
-    case AtomKind::kLettersFix:
-    case AtomKind::kLowerFix:
-    case AtomKind::kUpperFix:
-    case AtomKind::kAlnumFix: {
-      feed('<');
-      feed_str(AtomTag(a.kind));
-      feed('>');
-      feed('{');
-      // Decimal digits of a.len, most significant first (same as "%u").
-      char digits[10];
-      int n = 0;
-      uint32_t len = a.len;
-      do {
-        digits[n++] = static_cast<char>('0' + len % 10);
-        len /= 10;
-      } while (len != 0);
-      while (n > 0) feed(digits[--n]);
-      feed('}');
-      break;
-    }
-    case AtomKind::kNum:
-      feed_str("<num>");
-      break;
-    case AtomKind::kDigitsVar:
-    case AtomKind::kLettersVar:
-    case AtomKind::kLowerVar:
-    case AtomKind::kUpperVar:
-    case AtomKind::kAlnumVar:
-    case AtomKind::kOtherVar:
-    case AtomKind::kAnyVar:
-      feed('<');
-      feed_str(AtomTag(a.kind));
-      feed_str(">+");
-      break;
-  }
-  *mul = m;
-  *add = v;
-}
-
 uint64_t PatternKey(const Pattern& p) {
   uint64_t h = kPolySeed;
   for (const Atom& a : p.atoms()) {
-    uint64_t mul = 1;
-    uint64_t add = 0;
-    AtomKeyCoeffs(a, &mul, &add);
-    h = h * mul + add;
+    ForEachAtomPiece(a, [&h](std::string_view bytes) {
+      h = PolyHashUpdate(h, bytes);
+    });
   }
   return h;
 }

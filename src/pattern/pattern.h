@@ -92,24 +92,27 @@ class Pattern {
   std::vector<Atom> atoms_;
 };
 
+/// Appends one atom's canonical string-form bytes to `out`: a literal's
+/// text with '<' and '\' escaped, or the atom's tag form ("<digit>{3}",
+/// "<alnum>+", "<num>"). The one renderer of those bytes: ToString is a
+/// loop over it, PatternKey hashes the same bytes, and the offline
+/// enumerator names new index entries with the texts it renders. A merged
+/// literal renders as the concatenation of its parts, so atoms rendered in
+/// turn give the same bytes whether or not adjacent literals were merged.
+void AppendAtomText(const Atom& a, std::string* out);
+
 /// Stable 64-bit hash of the canonical string form.
 uint64_t PatternHash(const Pattern& p);
 
 /// Canonical 64-bit interned key of a pattern: the polynomial hash of the
-/// exact bytes of ToString(), computed without materializing the string.
-/// The invariant PatternKey(p) == PolyHash64(p.ToString()) makes pattern-
-/// and string-form keys interchangeable, so the hot FMDV loop probes the
-/// index by key while the on-disk format and reporting keep the readable
-/// string form.
+/// exact bytes of ToString(), folded piece by piece as the renderer
+/// produces them instead of over one materialized string. The invariant
+/// PatternKey(p) == PolyHash64(p.ToString()) makes pattern- and string-form
+/// keys interchangeable, so the hot FMDV loop probes the index by key while
+/// the on-disk format and reporting keep the readable string form. The
+/// offline enumerator keys whole option sequences without a Pattern by
+/// folding each option's map h -> h * PolyPow(len) + PolyHashUpdate(0, text)
+/// over its rendered text (common/hash.h).
 uint64_t PatternKey(const Pattern& p);
-
-/// The affine map of one atom's canonical string-form bytes under the
-/// polynomial hash: folding atom `a` into state h is `h * mul + add`, and
-/// PatternKey(p) == folding all atoms starting from kPolySeed. Exposed so
-/// enumerators can precompute per-atom coefficients once and key whole atom
-/// sequences they never materialize as Pattern objects in one multiply-add
-/// per atom (adjacent-literal merging does not change the canonical byte
-/// stream, so folding unmerged choices is equivalent).
-void AtomKeyCoeffs(const Atom& a, uint64_t* mul, uint64_t* add);
 
 }  // namespace av

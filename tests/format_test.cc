@@ -296,26 +296,29 @@ TEST(AvcolTest, RejectsCorruptionEverywhere) {
   }
 }
 
-TEST(AvcolTest, ForgedColumnCountIsCorruptionNotAnAllocation) {
-#if defined(AV_ASAN) || defined(AV_TSAN)
-  GTEST_SKIP() << "a sanitizer's shadow memory does not fit an address-space "
-                  "limit";
-#else
-  // An 8 MiB file of empty columns whose count claims 2^32 - 1 of them,
-  // under a restamped trailer (the checksum is not a MAC). A reader that
-  // sized its column table from the count would ask for 8 MiB x 160 bytes.
-  std::string image(kAvcolMagic, sizeof(kAvcolMagic));
-  const uint32_t ncols = 0xFFFFFFFF;
-  image.append(reinterpret_cast<const char*>(&ncols), sizeof(ncols));
-  image.resize((size_t{8} << 20) - kTrailerBytes, '\0');
-  const uint64_t len = image.size();
-  const uint64_t digest = PolyHash64(image);
-  image.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  image.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  image.append(kTrailerMagic, sizeof(kTrailerMagic));
+#if !defined(AV_ASAN) && !defined(AV_TSAN)
+/// `payload` padded with zero bytes to `size` bytes in all under a
+/// restamped AVTRAIL1 trailer (the checksum is not a MAC).
+std::string ForgedAvcolImage(std::string payload, size_t size) {
+  payload.resize(size - kTrailerBytes, '\0');
+  const uint64_t len = payload.size();
+  const uint64_t digest = PolyHash64(payload);
+  payload.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  payload.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  payload.append(kTrailerMagic, sizeof(kTrailerMagic));
+  return payload;
+}
 
-  // The read runs in a child whose address space may grow 512 MiB past its
-  // size at the fork: an allocation past that kills it with bad_alloc.
+template <class T>
+void AppendPod(std::string* out, T v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+/// Parses `image` in a child whose address space may grow 32 MiB past its
+/// size at the fork, which framing never needs: an allocation past that
+/// kills the child with bad_alloc. The child exits 0 iff the parse fails
+/// with kCorruption.
+void ExpectCorruptionBeforeBuilding(const std::string& image) {
   EXPECT_EXIT(
       {
         std::ifstream statm("/proc/self/statm");
@@ -325,12 +328,59 @@ TEST(AvcolTest, ForgedColumnCountIsCorruptionNotAnAllocation) {
             pages * static_cast<uint64_t>(::sysconf(_SC_PAGESIZE)));
         struct rlimit limit;
         ::getrlimit(RLIMIT_AS, &limit);
-        limit.rlim_cur = bytes + (rlim_t{512} << 20);
+        limit.rlim_cur = bytes + (rlim_t{32} << 20);
         ::setrlimit(RLIMIT_AS, &limit);
         const auto table = TableFromAvcolBuffer("forged", image);
         std::_Exit(table.status().code() == StatusCode::kCorruption ? 0 : 1);
       },
       ::testing::ExitedWithCode(0), "");
+}
+#endif
+
+TEST(AvcolTest, ForgedColumnCountIsCorruptionNotAnAllocation) {
+#if defined(AV_ASAN) || defined(AV_TSAN)
+  GTEST_SKIP() << "a sanitizer's shadow memory does not fit an address-space "
+                  "limit";
+#else
+  // An 8 MiB file of empty columns (20 bytes each) whose count claims
+  // 2^32 - 1 of them. A reader that sized its column table from the count
+  // would ask for 2^32 x 160 bytes; one that built each column as it framed
+  // it would build ~419k Columns (over 64 MiB) before the truncation.
+  std::string payload(kAvcolMagic, sizeof(kAvcolMagic));
+  AppendPod(&payload, uint32_t{0xFFFFFFFF});
+  ExpectCorruptionBeforeBuilding(
+      ForgedAvcolImage(std::move(payload), size_t{8} << 20));
+#endif
+}
+
+TEST(AvcolTest, ForgedRowCountIsCorruptionNotAnAllocation) {
+#if defined(AV_ASAN) || defined(AV_TSAN)
+  GTEST_SKIP() << "a sanitizer's shadow memory does not fit an address-space "
+                  "limit";
+#else
+  // A 16 MiB file whose first column claims as many empty rows as its
+  // offsets can fill (~2M, every offset 0), followed by a second column
+  // that claims one row more. A reader that built the first column before
+  // framing the second would build ~2M empty strings (64 MiB) first.
+  const size_t size = size_t{16} << 20;
+  constexpr size_t kHeaderBytes = 4 + 8 + 8;  // name length, rows, blob
+  std::string payload(kAvcolMagic, sizeof(kAvcolMagic));
+  AppendPod(&payload, uint32_t{2});
+  const uint64_t rows =
+      (size - kTrailerBytes - payload.size() - 2 * kHeaderBytes) / 8;
+  AppendPod(&payload, uint32_t{0});
+  AppendPod(&payload, rows);
+  AppendPod(&payload, uint64_t{0});
+  payload.resize(payload.size() + rows * 8, '\0');
+  AppendPod(&payload, uint32_t{0});
+  AppendPod(&payload, rows + 1);
+  AppendPod(&payload, uint64_t{0});
+  const std::string image = ForgedAvcolImage(std::move(payload), size);
+  const auto table = TableFromAvcolBuffer("forged", image);
+  ASSERT_EQ(table.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(table.status().message().find("disagree"), std::string::npos)
+      << table.status().ToString();
+  ExpectCorruptionBeforeBuilding(image);
 #endif
 }
 

@@ -3,10 +3,42 @@
 #include <gtest/gtest.h>
 #include <math.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace av {
 namespace {
+
+/// C(n, k) in exact integers (n <= 60 here, so it fits in 64 bits).
+unsigned __int128 Choose(uint64_t n, uint64_t k) {
+  if (k > n) return 0;
+  unsigned __int128 c = 1;
+  for (uint64_t i = 0; i < k; ++i) c = c * (n - i) / (i + 1);
+  return c;
+}
+
+/// Fisher's two-tailed p in exact integer arithmetic. Every table with the
+/// observed margins has hypergeometric weight w(x) = C(r1, x) * C(r2, c1 - x)
+/// (its probability times C(n, c1)); the sum takes the tables with
+/// w(x) * 10^7 <= w(obs) * (10^7 + 1), the ratio form of the 1e-7 log
+/// tolerance with which FisherExactTwoTailedP counts a table as at most as
+/// probable as the observed one.
+double BruteForceFisherP(uint64_t a, uint64_t b, uint64_t c, uint64_t d) {
+  const uint64_t r1 = a + b;
+  const uint64_t r2 = c + d;
+  const uint64_t c1 = a + c;
+  const auto w = [&](uint64_t x) {
+    return Choose(r1, x) * Choose(r2, c1 - x);
+  };
+  const unsigned __int128 w_obs = w(a);
+  unsigned __int128 sum = 0;
+  unsigned __int128 total = 0;
+  for (uint64_t x = c1 > r2 ? c1 - r2 : 0; x <= std::min(r1, c1); ++x) {
+    total += w(x);
+    if (w(x) * 10000000 <= w_obs * 10000001) sum += w(x);
+  }
+  return static_cast<double>(sum) / static_cast<double>(total);
+}
 
 TEST(LogChooseTest, KnownValues) {
   EXPECT_NEAR(LogChoose(5, 2), std::log(10.0), 1e-9);
@@ -61,6 +93,43 @@ TEST(FisherTest, PIsAProbability) {
       EXPECT_GE(p, 0.0);
       EXPECT_LE(p, 1.0);
     }
+  }
+}
+
+TEST(FisherTest, MatchesBruteForceSumOnEverySmallTable) {
+  // Every 2x2 table with row margins up to 16, against the exact-integer
+  // sum: the lgamma-based log probabilities must pick the same tables and
+  // sum them to within a relative 1e-9.
+  size_t tables = 0;
+  for (uint64_t r1 = 0; r1 <= 16; ++r1) {
+    for (uint64_t r2 = 0; r2 <= 16; ++r2) {
+      for (uint64_t a = 0; a <= r1; ++a) {
+        for (uint64_t c = 0; c <= r2; ++c) {
+          const double got = FisherExactTwoTailedP(a, r1 - a, c, r2 - c);
+          const double want = BruteForceFisherP(a, r1 - a, c, r2 - c);
+          ASSERT_LE(std::fabs(got - want), 1e-9 * want)
+              << "[[" << a << "," << r1 - a << "],[" << c << "," << r2 - c
+              << "]]: " << got << " vs " << want;
+          ++tables;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(tables, 23409u);
+}
+
+TEST(FisherTest, MatchesBruteForceSumOnLargerTables) {
+  // Tables up to n = 60, where every weight still fits in 64 bits.
+  const uint64_t cases[][4] = {
+      {1, 29, 15, 15}, {0, 30, 8, 22},  {12, 18, 18, 12}, {20, 10, 5, 25},
+      {3, 27, 27, 3},  {30, 0, 0, 30},  {2, 40, 9, 9},    {7, 23, 7, 23},
+      {0, 1, 29, 30},  {15, 15, 15, 15}};
+  for (const auto& t : cases) {
+    const double got = FisherExactTwoTailedP(t[0], t[1], t[2], t[3]);
+    const double want = BruteForceFisherP(t[0], t[1], t[2], t[3]);
+    EXPECT_LE(std::fabs(got - want), 1e-9 * want)
+        << "[[" << t[0] << "," << t[1] << "],[" << t[2] << "," << t[3]
+        << "]]: " << got << " vs " << want;
   }
 }
 
