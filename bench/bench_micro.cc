@@ -279,9 +279,10 @@ void BM_BuildIndexSmall(benchmark::State& state) {
 BENCHMARK(BM_BuildIndexSmall)->UseRealTime();
 
 /// The same 150-column offline job on the out-of-core path: every chunk
-/// index spills to a run (its AVIDX003 file, unsynced) and the reduce is
-/// the k-way streaming merge. The delta vs BM_BuildIndexSmall is the spill tax (serialize +
-/// merge I/O) paid for bounded memory; output bytes are identical.
+/// index spills to a run (its AVIDX003 file, unsynced) and the reduce loads
+/// each run back to fold it. The delta vs BM_BuildIndexSmall is the spill
+/// tax (write, read back and load) paid for bounded memory; output bytes
+/// are identical.
 void BM_BuildIndexSpill(benchmark::State& state) {
   const Corpus corpus = GenerateLake(EnterpriseLakeConfig(150, 7));
   IndexerConfig cfg;

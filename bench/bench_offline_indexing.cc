@@ -57,8 +57,8 @@ int main(int argc, char** argv) {
   json += "\n  ],\n";
 
   // Out-of-core run (tau = default): chunk indexes spill to runs (their
-  // AVIDX003 files, written without fsync) and the reduce is the k-way
-  // streaming merge. Reports the spill tax paid
+  // AVIDX003 files, written without fsync) and the reduce loads each run
+  // back to fold it. Reports the spill tax paid
   // for bounded chunk-index residency; saved bytes are identical to the
   // in-memory path (golden-tested), so only wall-clock and peak residency
   // differ.
@@ -80,12 +80,11 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof(buf),
                   "  \"spill\": {\"memory_budget_mb\": %.0f, \"seconds\": "
                   "%.4f, \"patterns\": %llu, \"spill_runs\": %zu, "
-                  "\"merge_passes\": %zu, \"spill_mb\": %.2f, "
-                  "\"peak_chunk_index_mb\": %.2f}\n",
+                  "\"spill_mb\": %.2f, \"peak_chunk_index_mb\": %.2f}\n",
                   static_cast<double>(cfg.build.memory_budget_bytes) / 1e6,
                   report.seconds,
                   static_cast<unsigned long long>(report.patterns_emitted),
-                  report.spill_runs, report.merge_passes,
+                  report.spill_runs,
                   static_cast<double>(report.spill_bytes) / 1e6,
                   static_cast<double>(report.peak_chunk_index_bytes) / 1e6);
     json += buf;

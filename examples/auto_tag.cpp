@@ -8,9 +8,9 @@
 #include <map>
 
 #include "core/auto_validate.h"
+#include "core/tagging.h"
 #include "index/indexer.h"
 #include "lakegen/lakegen.h"
-#include "pattern/matcher.h"
 
 int main() {
   const av::Corpus lake =
@@ -32,29 +32,25 @@ int main() {
                                rng.HexString(4) + "-" + rng.HexString(12));
     }
   }
-  const auto tag = engine.AutoTag(labeled_column);
+  av::DomainTagger tagger(&engine);
+  auto tag = tagger.LearnTag("guid", labeled_column, /*min_match_frac=*/0.9);
   if (!tag.ok()) {
     std::printf("auto-tag failed: %s\n", tag.status().ToString().c_str());
     return 1;
   }
-  std::printf("inferred domain tag: \"%s\"\n\n", tag->ToString().c_str());
+  std::printf("inferred domain tag: \"%s\"\n\n",
+              tag->pattern.ToString().c_str());
+  tagger.Register(*std::move(tag));
 
   // ...and every column in the lake matching the tag is auto-tagged.
-  size_t tagged = 0;
+  const auto columns = lake.AllColumns();
+  const auto tagged = tagger.TagCorpus(lake);
   std::map<std::string, size_t> tagged_by_domain;
-  for (const av::Column* col : lake.AllColumns()) {
-    if (col->values.empty()) continue;
-    size_t matched = 0;
-    for (const auto& v : col->values) {
-      if (av::Matches(*tag, v)) ++matched;
-    }
-    if (matched >= col->values.size() * 9 / 10) {
-      ++tagged;
-      ++tagged_by_domain[col->domain_name];
-    }
+  for (const auto& column_match : tagged) {
+    ++tagged_by_domain[columns[column_match.first]->domain_name];
   }
-  std::printf("tagged %zu of %zu lake columns; by true domain:\n", tagged,
-              lake.num_columns());
+  std::printf("tagged %zu of %zu lake columns; by true domain:\n",
+              tagged.size(), lake.num_columns());
   for (const auto& [domain, count] : tagged_by_domain) {
     std::printf("  %-24s %zu\n", domain.c_str(), count);
   }

@@ -87,11 +87,10 @@ int main(int argc, char** argv) {
               report.columns_indexed, report.seconds, index.size(),
               static_cast<double>(index.ApproxBytes()) / 1e6);
   if (report.used_spill) {
-    std::printf("out-of-core: %zu spill runs (%.1f MB), %zu extra merge "
-                "passes, peak chunk-index residency %.1f MB\n",
+    std::printf("out-of-core: %zu spill runs (%.1f MB), peak chunk-index "
+                "residency %.1f MB\n",
                 report.spill_runs,
                 static_cast<double>(report.spill_bytes) / 1e6,
-                report.merge_passes,
                 static_cast<double>(report.peak_chunk_index_bytes) / 1e6);
   }
   std::printf("\n");

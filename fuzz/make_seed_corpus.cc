@@ -1,8 +1,8 @@
 // Regenerates the checked-in fuzz seed corpora (fuzz/corpus/{index,ruleset,
-// spill,frame,tokenizer}/) from the real writers, so every seed is a
-// well-formed file of the current format, plus one of the previous format
-// where that is still readable (index and rule-set files; spill runs never
-// outlive their build). Run from the repo root:
+// frame,tokenizer}/) from the real writers, so every seed is a well-formed
+// file of the current format, plus one of the previous format where that is
+// still readable (index and rule-set files). Spill runs are index files, so
+// the index seeds cover them. Run from the repo root:
 //
 //   ./build/make_seed_corpus fuzz/corpus
 //
@@ -19,7 +19,6 @@
 #include "common/durable_file.h"
 #include "core/validation_service.h"
 #include "index/pattern_index.h"
-#include "index/spill.h"
 #include "pattern/pattern.h"
 #include "server/protocol.h"
 
@@ -68,7 +67,7 @@ av::ValidationRule MakeRule(const char* pattern, double fpr) {
 int main(int argc, char** argv) {
   namespace fs = std::filesystem;
   const std::string root = argc > 1 ? argv[1] : "fuzz/corpus";
-  for (const char* sub : {"index", "ruleset", "spill", "frame", "tokenizer"}) {
+  for (const char* sub : {"index", "ruleset", "frame", "tokenizer"}) {
     fs::create_directories(fs::path(root) / sub);
   }
   const std::string tmp =
@@ -107,21 +106,6 @@ int main(int argc, char** argv) {
     std::string v1 = StripTrailer(v2);
     v1.replace(0, 10, "AVRULESET1");
     WriteFile(root + "/ruleset/small_v1.avrs", v1);
-  }
-
-  // ------------------------------------------------------------- spill
-  // A run is an AVIDX003 file written without fsync: one of a few entries,
-  // and an empty one.
-  {
-    av::PatternIndex chunk;
-    for (const char* name :
-         {"<digit>+", "<digit>{4}", "<letter>+ <digit>+", "Mar <digit>{2}"}) {
-      chunk.Add(name, 0.125);
-    }
-    if (!av::WriteSpillRun(chunk, tmp).ok()) return 1;
-    WriteFile(root + "/spill/small.avspill", Slurp(tmp));
-    if (!av::WriteSpillRun(av::PatternIndex(), tmp).ok()) return 1;
-    WriteFile(root + "/spill/empty.avspill", Slurp(tmp));
   }
 
   // ------------------------------------------------------------- frame

@@ -82,27 +82,6 @@ Status ReadError(const std::string& path, int err) {
                                   : "the file shrank while it was read"));
 }
 
-/// The frame checks both verifiers share, on a file of `size` bytes whose
-/// last min(size, kTrailerBytes) bytes are `tail`: room for a trailer, its
-/// magic, and a length that is the rest of the file. Returns that length
-/// and sets `*digest` for the caller to check against the payload.
-Result<uint64_t> CheckTrailerFrame(uint64_t size, std::string_view tail,
-                                   uint64_t* digest) {
-  if (size < kTrailerBytes) {
-    return Status::Corruption("file too small for checksum trailer");
-  }
-  if (std::memcmp(tail.data() + 16, kTrailerMagic, sizeof(kTrailerMagic))) {
-    return Status::Corruption("missing checksum trailer magic");
-  }
-  uint64_t len = 0;
-  std::memcpy(&len, tail.data(), sizeof(len));
-  std::memcpy(digest, tail.data() + 8, sizeof(*digest));
-  if (len != size - kTrailerBytes) {
-    return Status::Corruption("checksum trailer length mismatch");
-  }
-  return len;
-}
-
 }  // namespace
 
 RegularFile::~RegularFile() {
@@ -122,11 +101,6 @@ Status RegularFile::Open(const std::string& path) {
   }
   size_ = static_cast<size_t>(st.st_size);
   return Status::OK();
-}
-
-Status RegularFile::ReadAt(uint64_t offset, char* dst, size_t n) const {
-  const int err = PreadFully(fd_, offset, dst, n);
-  return err == 0 ? Status::OK() : ReadError(path_, err);
 }
 
 Status RegularFile::ReadAll(char* dst) const {
@@ -258,46 +232,23 @@ void DurableFileWriter::Abandon() {
 }
 
 Result<uint64_t> VerifyTrailer(std::string_view data) {
-  uint64_t digest = 0;
-  auto len = CheckTrailerFrame(
-      data.size(),
-      data.substr(data.size() - std::min(data.size(), kTrailerBytes)),
-      &digest);
-  if (!len.ok()) return len;
-  if (PiecedPolyHash64(data.substr(0, *len)) != digest) {
+  if (data.size() < kTrailerBytes) {
+    return Status::Corruption("file too small for checksum trailer");
+  }
+  const char* const tail = data.data() + data.size() - kTrailerBytes;
+  if (std::memcmp(tail + 16, kTrailerMagic, sizeof(kTrailerMagic))) {
+    return Status::Corruption("missing checksum trailer magic");
+  }
+  uint64_t len = 0, digest = 0;
+  std::memcpy(&len, tail, sizeof(len));
+  std::memcpy(&digest, tail + 8, sizeof(digest));
+  if (len != data.size() - kTrailerBytes) {
+    return Status::Corruption("checksum trailer length mismatch");
+  }
+  if (PiecedPolyHash64(data.substr(0, len)) != digest) {
     return Status::Corruption("payload checksum mismatch");
   }
   return len;
-}
-
-Result<uint64_t> VerifyTrailerFile(const RegularFile& file) {
-  const auto with_path = [&file](const Status& st) {
-    return Status(st.code(), st.message() + ": " + file.path());
-  };
-  char tail[kTrailerBytes] = {};
-  const size_t tail_bytes = std::min(file.size(), kTrailerBytes);
-  AV_RETURN_NOT_OK(file.ReadAt(file.size() - tail_bytes, tail, tail_bytes));
-  uint64_t digest = 0;
-  auto len = CheckTrailerFrame(file.size(), {tail, tail_bytes}, &digest);
-  if (!len.ok()) return with_path(len.status());
-  PolyHasher hasher;
-  std::unique_ptr<char[]> piece(new char[kBufferBytes]);
-  for (uint64_t off = 0; off < *len; off += kBufferBytes) {
-    const size_t n =
-        static_cast<size_t>(std::min<uint64_t>(kBufferBytes, *len - off));
-    AV_RETURN_NOT_OK(file.ReadAt(off, piece.get(), n));
-    hasher.Update(piece.get(), n);
-  }
-  if (hasher.digest() != digest) {
-    return with_path(Status::Corruption("payload checksum mismatch"));
-  }
-  return len;
-}
-
-Result<uint64_t> VerifyTrailerFile(const std::string& path) {
-  RegularFile file;
-  AV_RETURN_NOT_OK(file.Open(path));
-  return VerifyTrailerFile(file);
 }
 
 Result<FileImage> ReadFileImage(const std::string& path) {

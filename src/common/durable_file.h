@@ -24,7 +24,7 @@
 //   +16     8     magic "AVTRAIL1"
 //
 // Verification order: size >= 24, trailing magic, payload length ==
-// file size - 24, then the streamed hash. Formats opt into the trailer by
+// file size - 24, then the payload hash. Formats opt into the trailer by
 // bumping their leading magic (AVIDX002 -> AVIDX003, ...), so loaders can
 // keep accepting old untrailed files: the leading magic decides whether a
 // trailer is required (write-new-only, read-compat).
@@ -100,8 +100,7 @@ struct DurableWriteOptions {
 /// it is flushed, so an append that fits is a plain copy.
 class DurableFileWriter {
  public:
-  /// Size of the write buffer: one write(2) per 256 KiB of payload, also
-  /// the chunk size of the streamed trailer verification.
+  /// Size of the write buffer: one write(2) per 256 KiB of payload.
   static constexpr size_t kBufferBytes = 256 * 1024;
 
   DurableFileWriter() = default;
@@ -183,14 +182,11 @@ class RegularFile {
   /// would then try to allocate.
   Status Open(const std::string& path);
 
-  const std::string& path() const { return path_; }
   size_t size() const { return size_; }  ///< size at Open
 
-  /// Reads the `n` bytes at `offset` into `dst`. A file that ends before
-  /// them (it shrank since Open) or a failed read is a kIOError.
-  Status ReadAt(uint64_t offset, char* dst, size_t n) const;
   /// Reads bytes [0, size()) into `dst`, 1 MiB at a time on the
-  /// ParallelFor helpers (common/parallel_for.h). Errors as ReadAt.
+  /// ParallelFor helpers (common/parallel_for.h). A file that ends before
+  /// them (it shrank since Open) or a failed read is a kIOError.
   Status ReadAll(char* dst) const;
 
  private:
@@ -205,12 +201,6 @@ class RegularFile {
 /// A payload of more than 1 MiB is hashed in 1 MiB pieces on the
 /// ParallelFor helpers (common/parallel_for.h).
 Result<uint64_t> VerifyTrailer(std::string_view data);
-
-/// Verifies the trailer frame of a file as VerifyTrailer does, reading the
-/// payload in kBufferBytes pieces (constant memory). kIOError when the file
-/// cannot be read or (by path) is not a regular file, kCorruption as above.
-Result<uint64_t> VerifyTrailerFile(const RegularFile& file);
-Result<uint64_t> VerifyTrailerFile(const std::string& path);
 
 /// A whole file in memory.
 struct FileImage {

@@ -12,9 +12,9 @@
 //
 // The override is process-global and unsynchronized by design: it is a
 // testing seam, installed while no other thread is writing files. Reads
-// (ReadFileToString, VerifyTrailerFile, cursors) do not route through the
-// seam — crash states are materialized as real files and re-read by the
-// real load paths.
+// (ReadFileImage, ReadFileToString and the loads built on them) do not
+// route through the seam — crash states are materialized as real files and
+// re-read by the real load paths.
 #pragma once
 
 #include <sys/types.h>

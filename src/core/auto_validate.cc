@@ -91,6 +91,7 @@ Result<ValidationRule> TrainFmdvNoIndex(const Corpus& corpus,
     return Status::InvalidArgument("empty query column");
   }
   const ColumnProfile profile = ColumnProfile::Build(train_values, opts.gen);
+  AV_RETURN_NOT_OK(CheckDistinctCap(profile, opts.gen));
   if (profile.shapes().size() != 1 ||
       profile.shapes().front().weight != profile.total_weight()) {
     return Status::Infeasible("query column is not homogeneous");

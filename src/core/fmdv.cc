@@ -69,6 +69,19 @@ Result<FmdvSolution> SolveFmdvRange(const ShapeOptions& options, size_t begin,
   return best;
 }
 
+Status CheckDistinctCap(const ColumnProfile& profile,
+                        const GeneralizeConfig& gen) {
+  if (profile.shapes().size() != 1 ||
+      profile.column().admitted_rows() == profile.total_weight()) {
+    return Status::OK();
+  }
+  return Status::Infeasible(
+      "query column has more than " +
+      std::to_string(gen.max_distinct_values) +
+      " distinct values (max_distinct_values); the rows past the cap join "
+      "no shape group");
+}
+
 Result<FmdvSolution> SolveFmdv(ColumnView values, const PatternIndex& index,
                                const AutoValidateOptions& opts,
                                FmdvObjective objective) {
@@ -84,6 +97,7 @@ Result<FmdvSolution> SolveFmdv(ColumnView values, const PatternIndex& index,
         "query column is not homogeneous (H(C) is empty); "
         "use a horizontal-cut variant");
   }
+  AV_RETURN_NOT_OK(CheckDistinctCap(profile, opts.gen));
   const ShapeGroup& group = profile.shapes().front();
   if (group.weight != profile.total_weight()) {
     // Untokenizable (empty-string) values exist outside the single shape.

@@ -43,6 +43,13 @@ Result<FmdvSolution> SolveFmdvRange(const ShapeOptions& options, size_t begin,
                                     FmdvObjective objective =
                                         FmdvObjective::kMinFpr);
 
+/// kInfeasible naming GeneralizeConfig::max_distinct_values when `profile`
+/// has one shape group and rows past that cap, which join no group; OK
+/// otherwise. The trainers ask it before their homogeneity checks, which
+/// would blame those rows on empty values or on heterogeneity.
+Status CheckDistinctCap(const ColumnProfile& profile,
+                        const GeneralizeConfig& gen);
+
 /// Solves basic FMDV for a query column. Requires homogeneous values (a
 /// single shape group); returns kInfeasible otherwise — callers wanting
 /// tolerance use the horizontal-cut variants (Section 4).

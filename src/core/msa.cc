@@ -1,61 +1,8 @@
 #include "core/msa.h"
 
 #include <algorithm>
-#include <map>
 
 namespace av {
-
-namespace {
-
-constexpr int kMatch = 2;
-constexpr int kMismatch = -2;
-constexpr int kGap = -1;
-
-struct NwResult {
-  int score = 0;
-  // Edit script as pairs of indices (-1 = gap) from (a, b).
-  std::vector<std::pair<int32_t, int32_t>> path;
-};
-
-NwResult NeedlemanWunsch(const ShapeSeq& a, const ShapeSeq& b) {
-  const size_t n = a.size(), m = b.size();
-  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1, 0));
-  for (size_t i = 1; i <= n; ++i) dp[i][0] = dp[i - 1][0] + kGap;
-  for (size_t j = 1; j <= m; ++j) dp[0][j] = dp[0][j - 1] + kGap;
-  for (size_t i = 1; i <= n; ++i) {
-    for (size_t j = 1; j <= m; ++j) {
-      const int diag =
-          dp[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
-      const int up = dp[i - 1][j] + kGap;
-      const int left = dp[i][j - 1] + kGap;
-      dp[i][j] = std::max({diag, up, left});
-    }
-  }
-  NwResult res;
-  res.score = dp[n][m];
-  // Traceback (prefer diagonal for determinism).
-  size_t i = n, j = m;
-  while (i > 0 || j > 0) {
-    if (i > 0 && j > 0 &&
-        dp[i][j] == dp[i - 1][j - 1] +
-                        (a[i - 1] == b[j - 1] ? kMatch : kMismatch)) {
-      res.path.push_back({static_cast<int32_t>(i - 1),
-                          static_cast<int32_t>(j - 1)});
-      --i;
-      --j;
-    } else if (i > 0 && dp[i][j] == dp[i - 1][j] + kGap) {
-      res.path.push_back({static_cast<int32_t>(i - 1), -1});
-      --i;
-    } else {
-      res.path.push_back({-1, static_cast<int32_t>(j - 1)});
-      --j;
-    }
-  }
-  std::reverse(res.path.begin(), res.path.end());
-  return res;
-}
-
-}  // namespace
 
 ShapeSeq ShapeSeqOf(std::string_view value, std::span<const Token> tokens) {
   ShapeSeq seq;
@@ -80,68 +27,21 @@ ShapeSeq ShapeSeqOf(std::string_view value, std::span<const Token> tokens) {
 }
 
 int NeedlemanWunschScore(const ShapeSeq& a, const ShapeSeq& b) {
-  return NeedlemanWunsch(a, b).score;
-}
-
-MsaResult ProgressiveAlign(const std::vector<ShapeSeq>& seqs) {
-  MsaResult res;
-  if (seqs.empty()) return res;
-
-  // The consensus starts as the first sequence; mapping[0] is the identity.
-  res.consensus = seqs[0];
-  res.mapping.resize(seqs.size());
-  res.mapping[0].resize(seqs[0].size());
-  for (size_t p = 0; p < seqs[0].size(); ++p) {
-    res.mapping[0][p] = static_cast<int32_t>(p);
-  }
-
-  for (size_t s = 1; s < seqs.size(); ++s) {
-    const NwResult nw = NeedlemanWunsch(res.consensus, seqs[s]);
-    // New consensus length = path length; rebuild consensus and remap all
-    // previously aligned sequences where consensus gained gap columns.
-    ShapeSeq new_consensus;
-    new_consensus.reserve(nw.path.size());
-    std::vector<int32_t> cons_map(nw.path.size(), -1);  // new pos -> old pos
-    std::vector<int32_t> cur_map(nw.path.size(), -1);   // new pos -> seq s idx
-    for (size_t p = 0; p < nw.path.size(); ++p) {
-      const auto [ci, sj] = nw.path[p];
-      cons_map[p] = ci;
-      cur_map[p] = sj;
-      if (ci >= 0) {
-        new_consensus.push_back(res.consensus[static_cast<size_t>(ci)]);
-      } else {
-        new_consensus.push_back(seqs[s][static_cast<size_t>(sj)]);
-        res.all_identical = false;
-      }
-      if (ci >= 0 && sj >= 0 &&
-          res.consensus[static_cast<size_t>(ci)] !=
-              seqs[s][static_cast<size_t>(sj)]) {
-        res.all_identical = false;
-      }
-      if (sj < 0) res.all_identical = false;
-    }
-    // Remap earlier sequences onto the new consensus coordinates.
-    for (size_t t = 0; t < s; ++t) {
-      std::vector<int32_t> remapped(nw.path.size(), -1);
-      for (size_t p = 0; p < nw.path.size(); ++p) {
-        if (cons_map[p] >= 0 &&
-            static_cast<size_t>(cons_map[p]) < res.mapping[t].size()) {
-          remapped[p] = res.mapping[t][static_cast<size_t>(cons_map[p])];
-        }
-      }
-      res.mapping[t] = std::move(remapped);
-    }
-    res.mapping[s] = std::move(cur_map);
-    res.consensus = std::move(new_consensus);
-  }
-
-  res.length = res.consensus.size();
-  for (const auto& m : res.mapping) {
-    for (int32_t x : m) {
-      if (x < 0) ++res.total_gaps;
+  constexpr int kMatch = 2, kMismatch = -2, kGap = -1;
+  const size_t n = a.size(), m = b.size();
+  std::vector<std::vector<int>> dp(n + 1, std::vector<int>(m + 1, 0));
+  for (size_t i = 1; i <= n; ++i) dp[i][0] = dp[i - 1][0] + kGap;
+  for (size_t j = 1; j <= m; ++j) dp[0][j] = dp[0][j - 1] + kGap;
+  for (size_t i = 1; i <= n; ++i) {
+    for (size_t j = 1; j <= m; ++j) {
+      const int diag =
+          dp[i - 1][j - 1] + (a[i - 1] == b[j - 1] ? kMatch : kMismatch);
+      const int up = dp[i - 1][j] + kGap;
+      const int left = dp[i][j - 1] + kGap;
+      dp[i][j] = std::max({diag, up, left});
     }
   }
-  return res;
+  return dp[n][m];
 }
 
 }  // namespace av

@@ -1,11 +1,6 @@
-// Multi-sequence alignment over token-class sequences (Section 3).
-//
-// The paper aligns the coarse token sequences of all values before vertical
-// cutting. MSA with sum-of-pairs score is NP-hard, so — like the paper — we
-// align greedily, one sequence at a time, against a growing consensus using
-// Needleman-Wunsch. For homogeneous machine-generated columns all sequences
-// are identical and the alignment is trivially optimal; the result reports
-// whether that was the case so vertical cuts can verify alignability.
+// Token-class sequences and their Needleman-Wunsch alignment score: the
+// distance the FlashProfile baseline clusters values by
+// (baselines/flashprofile.cc).
 #pragma once
 
 #include <cstdint>
@@ -24,27 +19,8 @@ using ShapeSeq = std::vector<uint16_t>;
 /// Builds the token-class sequence of a value.
 ShapeSeq ShapeSeqOf(std::string_view value, std::span<const Token> tokens);
 
-/// Result of progressive multi-sequence alignment.
-struct MsaResult {
-  /// Length of the aligned consensus.
-  size_t length = 0;
-  /// Majority element per aligned position.
-  ShapeSeq consensus;
-  /// mapping[i][p] = index into sequence i for aligned position p, or -1 gap.
-  std::vector<std::vector<int32_t>> mapping;
-  /// Total number of gap cells across all sequences.
-  size_t total_gaps = 0;
-  /// True when every sequence aligned with zero gaps and zero mismatches
-  /// (the homogeneous case where greedy MSA is exactly optimal).
-  bool all_identical = true;
-};
-
 /// Needleman-Wunsch global alignment score of two sequences
-/// (match +2, mismatch -2, gap -1). Exposed for tests.
+/// (match +2, mismatch -2, gap -1).
 int NeedlemanWunschScore(const ShapeSeq& a, const ShapeSeq& b);
-
-/// Greedy progressive alignment of `seqs` (first sequence seeds the
-/// consensus). Deterministic. Handles empty input (length 0).
-MsaResult ProgressiveAlign(const std::vector<ShapeSeq>& seqs);
 
 }  // namespace av

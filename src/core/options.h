@@ -47,8 +47,6 @@ struct AutoValidateOptions {
   /// Ablation (Section 3): aggregate segment FPRs with max instead of the
   /// paper's pessimistic sum in Equation (8).
   bool vertical_use_max = false;
-  /// Ablation: skip the MSA verification step in vertical cuts.
-  bool vertical_skip_msa = false;
 
   /// Coverage floor used by the Auto-Tag dual (most-restrictive pattern).
   uint64_t autotag_min_coverage = 10;

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "core/fmdv.h"
-#include "core/msa.h"
 
 namespace av {
 
@@ -12,23 +11,6 @@ Result<VerticalSolution> SolveFmdvVOnProfile(const ColumnProfile& profile,
                                              const ShapeGroup& group,
                                              const PatternIndex& index,
                                              const AutoValidateOptions& opts) {
-  // MSA verification (Section 3): confirm the group's token sequences align
-  // trivially. Values in one shape group share the symbol skeleton by
-  // construction, so the greedy MSA is exact here; the check guards against
-  // misuse with mixed inputs and feeds the MSA ablation.
-  if (!opts.vertical_skip_msa) {
-    std::vector<ShapeSeq> seqs;
-    seqs.reserve(group.value_ids.size());
-    for (uint32_t id : group.value_ids) {
-      seqs.push_back(ShapeSeqOf(profile.value(id), profile.tokens(id)));
-    }
-    const MsaResult msa = ProgressiveAlign(seqs);
-    if (!msa.all_identical) {
-      return Status::Infeasible(
-          "values do not align gap-free; apply horizontal cuts first");
-    }
-  }
-
   ShapeOptions options(profile, group, opts.gen);
   const size_t n = options.num_positions();
   if (n == 0) {
@@ -118,6 +100,7 @@ Result<VerticalSolution> SolveFmdvV(ColumnView values,
   if (profile.shapes().empty()) {
     return Status::Infeasible("no tokenizable values in query column");
   }
+  AV_RETURN_NOT_OK(CheckDistinctCap(profile, wide));
   if (profile.shapes().size() > 1 ||
       profile.shapes().front().weight != profile.total_weight()) {
     return Status::Infeasible(

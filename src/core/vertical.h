@@ -39,8 +39,8 @@ Result<VerticalSolution> SolveFmdvV(ColumnView values,
                                     const PatternIndex& index,
                                     const AutoValidateOptions& opts);
 
-/// Same, over an already-built profile/group (used by FMDV-VH after the
-/// horizontal cut has selected the conforming group).
+/// Same, over an already-built profile and one of its shape groups:
+/// SolveFmdvV's body once it has checked the column is homogeneous.
 Result<VerticalSolution> SolveFmdvVOnProfile(const ColumnProfile& profile,
                                              const ShapeGroup& group,
                                              const PatternIndex& index,

@@ -1,7 +1,7 @@
 // The AVIDX003 file layout (docs/FILE_FORMATS.md) in one place: the index's
-// Save and Load, and the out-of-core build's spill runs, which are index
-// files, write and frame their entries and read their headers through
-// these.
+// one writer (Save, and WriteSpillRun without the fsync) and one reader
+// (Load, which reads spill runs back too) write and frame their entries and
+// read their headers through these.
 #pragma once
 
 #include <cstddef>

@@ -23,11 +23,6 @@ namespace {
 /// part of the saved-bytes determinism contract (docs/ARCHITECTURE.md).
 constexpr size_t kColumnsPerChunk = 256;
 
-/// Per-run-cursor memory estimate (file window + current entry + heap
-/// slot) used to derive the merge fan-in from the memory budget.
-constexpr size_t kSpillCursorBytes = 64 * 1024;
-static_assert(SpillRunCursor::kWindowBytes < kSpillCursorBytes);
-
 /// Cheap tau pre-check: true when every value of the span exceeds the token
 /// limit, i.e. the column cannot contribute a single enumerable shape group
 /// and profiling it would be wasted work. Runs the counting-only scanner
@@ -99,12 +94,6 @@ IndexerReport MapChunk(const ColumnChunk& chunk, const IndexerConfig& cfg,
     }
   }
   return rep;
-}
-
-/// Merge fan-in for the spill reduce, derived from the budget at
-/// kSpillCursorBytes per open run.
-size_t MergeFanin(const IndexBuildOptions& build) {
-  return std::max<size_t>(2, build.memory_budget_bytes / kSpillCursorBytes);
 }
 
 }  // namespace
@@ -232,30 +221,32 @@ Result<PatternIndex> BuildIndexStreaming(ColumnReader& reader,
   }
   local.peak_chunk_index_bytes = peak_bytes;
 
-  PatternIndex global;
   if (spill) {
-    std::vector<std::string> paths;
-    paths.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) paths.push_back(run_path(c));
     local.used_spill = true;
     local.spill_runs = num_chunks;
     local.spill_bytes = spill_bytes_total;
-    AV_RETURN_NOT_OK(MergeSpillRunsBounded(
-        std::move(paths), MergeFanin(cfg.build), spill_dir.path(),
-        [&global](SpillEntry&& e) {
-          global.InsertAggregate(e.key, e.name, e.sum_impurity, e.columns);
-        },
-        &local.merge_passes));
-  } else {
-    // In-memory reduce: the kNumShards key shards merge concurrently, each
-    // adopting its first chunk's table and folding the later chunks into
-    // it in chunk order. Per-key accumulation order is therefore a function
-    // of the column order alone, making the result (including its
-    // floating-point sums, and hence the Save output) byte-identical for
-    // any thread count.
-    pool.ParallelFor(PatternIndex::kNumShards, [&](size_t s) {
-      for (const auto& chunk : retained) global.MergeShardFrom(s, chunk.get());
-    });
+  }
+
+  // The reduce, one for both paths: the chunk indexes fold into the global
+  // index in chunk order, a retained one as it is and a spilled one read
+  // back from its run by Load, with all of Load's checks. The kNumShards
+  // key shards of one chunk fold concurrently; each shard adopts its first
+  // chunk's table and folds the later chunks into it, so per-key
+  // accumulation order is a function of the column order alone, making the
+  // result (including its floating-point sums, and hence the Save output)
+  // byte-identical for any thread count and either path. The spill path
+  // holds one run's index, and its file image while it loads, beside the
+  // global index.
+  PatternIndex global;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    std::unique_ptr<PatternIndex> chunk = std::move(retained[c]);
+    if (spill) {
+      auto run = PatternIndex::Load(run_path(c));
+      if (!run.ok()) return run.status();
+      chunk = std::make_unique<PatternIndex>(std::move(run).value());
+    }
+    pool.ParallelFor(PatternIndex::kNumShards,
+                     [&](size_t s) { global.MergeShardFrom(s, chunk.get()); });
   }
 
   local.seconds = timer.ElapsedSeconds();

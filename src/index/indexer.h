@@ -4,13 +4,14 @@
 //
 // The paper runs this as a Map-Reduce-like job on a cluster; here the map
 // (per-column enumeration) runs on a thread pool over fixed-size column
-// chunks and the reduce merges chunk-local accumulators — either in memory
-// (key shards in parallel, no global lock) or, when a memory budget is set,
-// through spill runs (AVIDX003 files) on disk with a k-way streaming merge,
-// so lakes far larger than RAM index with bounded chunk-index residency. Both
-// reduce paths fold per-key statistics in chunk order, so the result — and
-// its saved AVIDX003 bytes — is identical for any thread count and for
-// either path (docs/ARCHITECTURE.md, "Offline indexing").
+// chunks and the reduce folds the chunk-local accumulators into the global
+// index in chunk order, key shards in parallel with no global lock. When a
+// memory budget is set, each chunk index is spilled as a run (an AVIDX003
+// file) as soon as it is built and read back by PatternIndex::Load for its
+// fold, so the map phase holds a bounded number of chunk indexes. Either way
+// per-key statistics fold in chunk order, so the result — and its saved
+// AVIDX003 bytes — is identical for any thread count and for either path
+// (docs/ARCHITECTURE.md, "Offline indexing").
 #pragma once
 
 #include <cstddef>
@@ -27,17 +28,18 @@ namespace av {
 /// Memory policy of one offline run.
 struct IndexBuildOptions {
   /// 0 (default): every chunk-local index stays in memory until the
-  /// parallel shard reduce — fastest, residency grows with the corpus.
+  /// reduce — fastest, residency grows with the corpus.
   /// >0: out-of-core path — each completed chunk index is written as a
-  /// spill run (its AVIDX003 file, unsynced) and freed, the reduce is a
-  /// k-way streaming merge, and the budget bounds both resident
-  /// chunk-index bytes and the merge fan-in. The first chunk runs alone to
+  /// spill run (its AVIDX003 file, unsynced) and freed, and the reduce
+  /// reads the runs back one at a time. The budget bounds resident
+  /// chunk-index bytes in the map phase: the first chunk runs alone to
   /// calibrate the per-chunk size, after which map tasks are admitted only
   /// while resident bytes plus one max-observed chunk per in-flight task
   /// fit the budget — peak chunk-index residency stays within max(one chunk
   /// index, this budget), modulo a chunk larger than any observed so far
-  /// (sizes are only known at completion). Saved index bytes are identical
-  /// either way.
+  /// (sizes are only known at completion). The reduce holds one run's
+  /// index, and its file image while it loads, beside the global index.
+  /// Saved index bytes are identical either way.
   size_t memory_budget_bytes = 0;
   /// Parent directory for the spill-run directory; empty selects
   /// std::filesystem::temp_directory_path(). The run directory is removed
@@ -73,10 +75,10 @@ struct IndexerReport {
   double seconds = 0;
 
   // --- out-of-core accounting (zero on the in-memory path) ---
-  bool used_spill = false;      ///< the spill reduce actually ran
+  bool used_spill = false;      ///< the chunk indexes were spilled
   size_t spill_runs = 0;        ///< chunk runs written
   uint64_t spill_bytes = 0;     ///< bytes of the initial chunk runs
-  size_t merge_passes = 0;      ///< intermediate merge passes (0 = one pass)
+  size_t merge_passes = 0;      ///< always 0: the reduce folds each run once
   /// Peak bytes of simultaneously-resident completed chunk indexes, sampled
   /// at chunk completion (streaming builds only; 0 = not tracked).
   uint64_t peak_chunk_index_bytes = 0;

@@ -86,7 +86,7 @@ class PatternIndex {
              [&]() -> std::string_view { return pattern_key; });
   }
 
-  /// Inserts a fully-aggregated entry (a spill-merge result):
+  /// Inserts a fully-aggregated entry (a MergeSpillRunsBounded result):
   /// `sum_impurity`/`columns` are added as-is, not treated as a
   /// single column's evidence. Aborts loudly if `key` is already present
   /// under a different name (64-bit key collision between distinct
@@ -147,10 +147,10 @@ class PatternIndex {
   /// previous index). The on-disk artifact is the "orders of magnitude
   /// smaller than T" summary of Section 2.4.
   Status Save(const std::string& path) const;
-  /// Reads AVIDX003 (trailer-verified) and, for compatibility, untrailed
-  /// AVIDX002 files. Rejects torn/corrupt input, including any key that
-  /// appears twice, with kCorruption, and a path that is not a regular
-  /// file with kIOError.
+  /// Reads AVIDX003 (trailer-verified; spill runs included) and, for
+  /// compatibility, untrailed AVIDX002 files. Rejects torn/corrupt input,
+  /// including any key that appears twice, with kCorruption, and a path
+  /// that is not a regular file with kIOError; every error names `path`.
   static Result<PatternIndex> Load(const std::string& path);
   /// Load from an in-memory file image (the fuzz-harness entry point; Load
   /// is ReadFileImage plus this). An image of more than 8192 entries is

@@ -252,14 +252,4 @@ uint64_t PatternKey(const Pattern& p) {
   return h;
 }
 
-uint64_t PatternHash(const Pattern& p) {
-  uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Atom& a : p.atoms()) {
-    h = HashCombine(h, static_cast<uint64_t>(a.kind));
-    h = HashCombine(h, a.len);
-    h = HashCombine(h, Fnv1a64(a.lit));
-  }
-  return h;
-}
-
 }  // namespace av

@@ -101,9 +101,6 @@ class Pattern {
 /// turn give the same bytes whether or not adjacent literals were merged.
 void AppendAtomText(const Atom& a, std::string* out);
 
-/// Stable 64-bit hash of the canonical string form.
-uint64_t PatternHash(const Pattern& p);
-
 /// Canonical 64-bit interned key of a pattern: the polynomial hash of the
 /// exact bytes of ToString(), folded piece by piece as the renderer
 /// produces them instead of over one materialized string. The invariant

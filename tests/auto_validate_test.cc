@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/rng.h"
 #include "lakegen/domains.h"
 #include "pattern/matcher.h"
@@ -160,6 +162,38 @@ TEST_F(AutoValidateTest, NoIndexAgreesWithIndexedFmdvOnPattern) {
 TEST_F(AutoValidateTest, TrainOnEmptyColumnFails) {
   auto rule = engine_->Train({}, Method::kFmdvVH);
   EXPECT_FALSE(rule.ok());
+}
+
+TEST_F(AutoValidateTest, InfeasibleTrainingNamesTheDistinctCap) {
+  // A clean column of one shape with more distinct values than
+  // max_distinct_values: the rows past the cap join no shape group, so
+  // every method is Infeasible, and each says that is why.
+  std::vector<std::string> wide;
+  for (int i = 0; i < 2000; ++i) {
+    char value[16];
+    std::snprintf(value, sizeof(value), "%04d-%02d", i, i % 100);
+    wide.push_back(value);
+  }
+  ASSERT_GT(wide.size(), engine_->options().gen.max_distinct_values);
+  const auto expect_cap = [](const Status& st, const char* method) {
+    EXPECT_EQ(st.code(), StatusCode::kInfeasible) << method;
+    EXPECT_NE(st.message().find("max_distinct_values"), std::string::npos)
+        << method << ": " << st.ToString();
+  };
+  for (const Method m :
+       {Method::kFmdv, Method::kFmdvH, Method::kFmdvV, Method::kFmdvVH}) {
+    expect_cap(engine_->Train(wide, m).status(), MethodName(m));
+  }
+  expect_cap(TrainFmdvNoIndex(*corpus_, wide, engine_->options()).status(),
+             "no-index");
+
+  // Few distinct values and one empty one: the empty value is the cause.
+  std::vector<std::string> with_empty(wide.begin(), wide.begin() + 50);
+  with_empty.push_back("");
+  const Status st = engine_->Train(with_empty, Method::kFmdv).status();
+  EXPECT_EQ(st.code(), StatusCode::kInfeasible);
+  EXPECT_NE(st.message().find("empty values"), std::string::npos)
+      << st.ToString();
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
-#include "index/spill.h"
 #include "testing/crashmc.h"
 #include "tests/test_util.h"
 
@@ -96,9 +95,6 @@ TEST(DurableFileTest, CommitProducesVerifiableTrailedFile) {
   EXPECT_EQ(fs::file_size(path), w.committed_bytes());
   EXPECT_EQ(TempDebris(dir.path()), 0u);
 
-  auto streamed = VerifyTrailerFile(path);
-  ASSERT_TRUE(streamed.ok());
-  EXPECT_EQ(*streamed, 14u);
   auto bytes = ReadFileToString(path);
   ASSERT_TRUE(bytes.ok());
   auto in_memory = VerifyTrailer(*bytes);
@@ -233,11 +229,8 @@ TEST(ReadFileToStringTest, DirectoryIsIOError) {
   // that took its stream size (2^63 - 1) would try to allocate that. Every
   // file reader opens through RegularFile and says why it refuses.
   ScopedTempDir dir = MakeTempDir();
-  SpillRunCursor cursor;
-  for (const Status& st :
-       {ReadFileToString(dir.path()).status(),
-        ReadFileImage(dir.path()).status(),
-        VerifyTrailerFile(dir.path()).status(), cursor.Open(dir.path())}) {
+  for (const Status& st : {ReadFileToString(dir.path()).status(),
+                           ReadFileImage(dir.path()).status()}) {
     EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
     EXPECT_NE(st.message().find("not a regular file"), std::string::npos)
         << st.ToString();
@@ -488,8 +481,9 @@ TEST(DurableFileTest, DirectoryFsyncHardErrorFailsCommitAfterRename) {
   const Status st = w.Commit();
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kIOError);
-  EXPECT_TRUE(fs::exists(path));
-  EXPECT_TRUE(VerifyTrailerFile(path).ok());
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok());
+  EXPECT_TRUE(VerifyTrailer(*bytes).ok());
   EXPECT_EQ(TempDebris(dir.path()), 0u);
 }
 

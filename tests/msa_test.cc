@@ -28,55 +28,5 @@ TEST(NeedlemanWunschTest, GapCostsApply) {
   EXPECT_EQ(NeedlemanWunschScore(a, b), 4);
 }
 
-TEST(ProgressiveAlignTest, IdenticalSequences) {
-  const std::vector<ShapeSeq> seqs = {Seq("1/2/3"), Seq("4/5/6"),
-                                      Seq("7/8/9")};
-  const MsaResult res = ProgressiveAlign(seqs);
-  EXPECT_TRUE(res.all_identical);
-  EXPECT_EQ(res.length, 5u);
-  EXPECT_EQ(res.total_gaps, 0u);
-  for (const auto& m : res.mapping) {
-    ASSERT_EQ(m.size(), 5u);
-    for (size_t p = 0; p < m.size(); ++p) {
-      EXPECT_EQ(m[p], static_cast<int32_t>(p));
-    }
-  }
-}
-
-TEST(ProgressiveAlignTest, GapInsertedForExtraToken) {
-  const std::vector<ShapeSeq> seqs = {Seq("1/2"), Seq("1/2/3")};
-  const MsaResult res = ProgressiveAlign(seqs);
-  EXPECT_FALSE(res.all_identical);
-  EXPECT_EQ(res.length, 5u);
-  EXPECT_EQ(res.total_gaps, 2u);  // two gap cells in the short sequence
-}
-
-TEST(ProgressiveAlignTest, EmptyInput) {
-  const MsaResult res = ProgressiveAlign({});
-  EXPECT_EQ(res.length, 0u);
-  EXPECT_TRUE(res.all_identical);
-}
-
-TEST(ProgressiveAlignTest, SingleSequenceIsItsOwnConsensus) {
-  const MsaResult res = ProgressiveAlign({Seq("a-b")});
-  EXPECT_TRUE(res.all_identical);
-  EXPECT_EQ(res.length, 3u);
-}
-
-TEST(ProgressiveAlignTest, MappingIndicesAreValid) {
-  const std::vector<ShapeSeq> seqs = {Seq("a b c"), Seq("a c"), Seq("b c"),
-                                      Seq("a b")};
-  const MsaResult res = ProgressiveAlign(seqs);
-  for (size_t s = 0; s < seqs.size(); ++s) {
-    int32_t prev = -1;
-    for (int32_t idx : res.mapping[s]) {
-      if (idx < 0) continue;
-      EXPECT_LT(static_cast<size_t>(idx), seqs[s].size());
-      EXPECT_GT(idx, prev);  // strictly increasing over non-gaps
-      prev = idx;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace av

@@ -72,13 +72,13 @@ TEST(PatternTest, SpecificityOrdering) {
   EXPECT_GT(score("<alnum>+"), score("<any>+"));
 }
 
-TEST(PatternTest, HashDiffersAcrossPatterns) {
-  const auto a = PatternHash(*Pattern::Parse("<digit>{2}"));
-  const auto b = PatternHash(*Pattern::Parse("<digit>{3}"));
-  const auto c = PatternHash(*Pattern::Parse("<letter>{2}"));
+TEST(PatternTest, KeyDiffersAcrossPatterns) {
+  const auto a = PatternKey(*Pattern::Parse("<digit>{2}"));
+  const auto b = PatternKey(*Pattern::Parse("<digit>{3}"));
+  const auto c = PatternKey(*Pattern::Parse("<letter>{2}"));
   EXPECT_NE(a, b);
   EXPECT_NE(a, c);
-  EXPECT_EQ(a, PatternHash(*Pattern::Parse("<digit>{2}")));
+  EXPECT_EQ(a, PatternKey(*Pattern::Parse("<digit>{2}")));
 }
 
 TEST(PatternTest, EmptyPattern) {

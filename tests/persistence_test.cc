@@ -89,12 +89,9 @@ std::string GoldenSpillBytes() {
   return Slurp(path);
 }
 
-/// Drives a full spill-cursor walk over an in-memory image.
-Status DrainSpill(std::string data) {
-  SpillRunCursor cursor;
-  Status st = cursor.OpenBuffer(std::move(data));
-  while (st.ok() && cursor.valid()) st = cursor.Next();
-  return st;
+/// Reads a spill run image back as the out-of-core build's reduce does.
+Status LoadSpill(std::string_view data) {
+  return PatternIndex::LoadFromBuffer(data).status();
 }
 
 /// Asserts that loading every proper prefix of `bytes` through `load` fails
@@ -126,10 +123,8 @@ TEST(PersistenceTest, RuleSetLoadRejectsTruncationAtEveryOffset) {
   });
 }
 
-TEST(PersistenceTest, SpillCursorRejectsTruncationAtEveryOffset) {
-  ExpectEveryTruncationRejected(GoldenSpillBytes(), [](std::string data) {
-    return DrainSpill(std::move(data));
-  });
+TEST(PersistenceTest, SpillRunLoadRejectsTruncationAtEveryOffset) {
+  ExpectEveryTruncationRejected(GoldenSpillBytes(), LoadSpill);
 }
 
 // --------------------------------------------------------- read-compat
@@ -186,11 +181,11 @@ TEST(PersistenceTest, SpillRejectsPreviousUntrailedFormat) {
   // trailer. A run never outlives the build that wrote it, so no reader
   // meets one.
   const std::string payload = run.substr(0, *payload_len);
-  EXPECT_EQ(DrainSpill("AVSPILL01" + payload.substr(8)).code(),
+  EXPECT_EQ(LoadSpill("AVSPILL01" + payload.substr(8)).code(),
             StatusCode::kCorruption);
 
   // Modern magic without its trailer: rejected.
-  EXPECT_EQ(DrainSpill(payload).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadSpill(payload).code(), StatusCode::kCorruption);
 }
 
 // ------------------------------------------- failed save keeps old file

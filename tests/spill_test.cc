@@ -1,8 +1,8 @@
-// Out-of-core indexing: spill runs are AVIDX003 index files and round-trip
-// through the cursor, the k-way merge's byte-identity contract against the
-// in-memory reduce, corruption rejection (both bit-rot the checksum catches
-// and adversarial rewrites it cannot), temp-file hygiene, and the
-// memory-budget residency bound.
+// Out-of-core indexing: spill runs are AVIDX003 index files that Load reads
+// back, the fold's byte-identity contract against the in-memory reduce,
+// corruption rejection (both bit-rot the checksum catches and adversarial
+// rewrites it cannot), temp-file hygiene, and the memory-budget residency
+// bound.
 #include "index/spill.h"
 
 #include <gtest/gtest.h>
@@ -10,10 +10,12 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/durable_file.h"
+#include "common/file_ops.h"
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/temp_file.h"
@@ -46,27 +48,23 @@ std::string SaveBytes(const PatternIndex& idx) {
   return Slurp(path);
 }
 
-/// Every entry a cursor walk yields, and the status the walk ends with.
+/// Every entry MergeSpillRunsBounded emits for the runs at `paths`, at the
+/// smallest fan-in and with the runs' directory as its tmp_dir, and the
+/// status it ends with. Whatever the fan-in, it reports no extra pass.
 struct Walk {
   std::vector<SpillEntry> entries;
   Status status;
 };
-Walk WalkRun(SpillRunCursor& cursor, Status st) {
+Walk MergeRuns(std::vector<std::string> paths) {
   Walk walk;
-  while (st.ok() && cursor.valid()) {
-    walk.entries.push_back(cursor.entry());
-    st = cursor.Next();
-  }
-  walk.status = st;
+  size_t passes = 1;
+  const std::string tmp_dir = fs::path(paths.front()).parent_path().string();
+  walk.status = MergeSpillRunsBounded(
+      std::move(paths), /*max_fanin=*/2, tmp_dir,
+      [&walk](SpillEntry&& e) { walk.entries.push_back(std::move(e)); },
+      &passes);
+  EXPECT_EQ(passes, 0u);
   return walk;
-}
-Walk WalkFile(const std::string& path) {
-  SpillRunCursor cursor;
-  return WalkRun(cursor, cursor.Open(path));
-}
-Walk WalkImage(std::string image) {
-  SpillRunCursor cursor;
-  return WalkRun(cursor, cursor.OpenBuffer(std::move(image)));
 }
 
 // ---------------------------------------------------------------- TempDir
@@ -121,7 +119,7 @@ TEST(SpillRunTest, RoundTripsSortedEntries) {
   ASSERT_TRUE(bytes.ok());
   EXPECT_EQ(*bytes, fs::file_size(path));
 
-  const Walk walk = WalkFile(path);
+  const Walk walk = MergeRuns({path});
   ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
   const std::vector<SpillEntry>& entries = walk.entries;
   ASSERT_EQ(entries.size(), 3u);
@@ -149,7 +147,7 @@ TEST(SpillRunTest, RunIsTheChunksIndexFile) {
   EXPECT_EQ(run_bytes, Slurp(saved));
   EXPECT_EQ(run_bytes.substr(0, 8), "AVIDX003");
 
-  // A run loads as an index, and an index file walks as a run, in name
+  // A run loads as an index, and an index file folds as a run, in name
   // order with the index's own statistics.
   auto loaded = PatternIndex::Load(run);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -159,50 +157,18 @@ TEST(SpillRunTest, RunIsTheChunksIndexFile) {
       [&](uint64_t key, const std::string& name, const PatternIndex::Entry& e) {
         expected.push_back({key, name, e.sum_impurity, e.columns});
       });
-  for (const Walk& walk : {WalkFile(saved), WalkImage(run_bytes)}) {
-    ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
-    ASSERT_EQ(walk.entries.size(), expected.size());
-    for (size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(walk.entries[i].key, expected[i].key);
-      EXPECT_EQ(walk.entries[i].name, expected[i].name);
-      EXPECT_EQ(walk.entries[i].sum_impurity, expected[i].sum_impurity);
-      EXPECT_EQ(walk.entries[i].columns, expected[i].columns);
-    }
+  const Walk walk = MergeRuns({saved});
+  ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
+  ASSERT_EQ(walk.entries.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(walk.entries[i].key, expected[i].key);
+    EXPECT_EQ(walk.entries[i].name, expected[i].name);
+    EXPECT_EQ(walk.entries[i].sum_impurity, expected[i].sum_impurity);
+    EXPECT_EQ(walk.entries[i].columns, expected[i].columns);
   }
 }
 
-TEST(SpillRunTest, CursorWindowSlidesAcrossEntriesOfAnySize) {
-  // Many windows' worth of short entries, with names around and far past
-  // the window size among them: the file walk refills and grows its window
-  // and must yield what the whole-image walk yields.
-  PatternIndex chunk;
-  for (int i = 0; i < 3000; ++i) {
-    chunk.Add("<digit>{" + std::to_string(i) + "} pad", 0.5);
-  }
-  for (const size_t len :
-       {SpillRunCursor::kWindowBytes - 40, SpillRunCursor::kWindowBytes,
-        SpillRunCursor::kWindowBytes + 1, 5 * SpillRunCursor::kWindowBytes}) {
-    chunk.Add(std::string(len, 'a') + "<digit>", 0.25);
-    chunk.Add("<digit>{" + std::to_string(len) + "} " + std::string(len, 'z'),
-              0.75);
-  }
-  ScopedTempDir dir = MakeTempDir();
-  const std::string run = dir.File("run.avspill");
-  ASSERT_TRUE(WriteSpillRun(chunk, run).ok());
-  const Walk from_file = WalkFile(run);
-  const Walk from_image = WalkImage(Slurp(run));
-  ASSERT_TRUE(from_file.status.ok()) << from_file.status.ToString();
-  ASSERT_TRUE(from_image.status.ok()) << from_image.status.ToString();
-  ASSERT_EQ(from_file.entries.size(), chunk.size());
-  ASSERT_EQ(from_image.entries.size(), chunk.size());
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    EXPECT_EQ(from_file.entries[i].name, from_image.entries[i].name);
-    EXPECT_EQ(from_file.entries[i].sum_impurity,
-              from_image.entries[i].sum_impurity);
-  }
-}
-
-TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
+TEST(SpillRunTest, MergeRejectsCorruptAndTruncatedRuns) {
   PatternIndex chunk;
   for (int i = 0; i < 3; ++i) {
     chunk.Add("<digit>{" + std::to_string(10 + i) + "} long pattern name pad",
@@ -220,13 +186,14 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
     std::ofstream(path, std::ios::binary) << content;
     return path;
   };
-  // Rejected from a file and from an image alike.
-  auto expect_corrupt = [](const std::string& path) {
-    for (const Walk& walk : {WalkFile(path), WalkImage(Slurp(path))}) {
-      EXPECT_FALSE(walk.status.ok()) << path;
-      EXPECT_EQ(walk.status.code(), StatusCode::kCorruption)
-          << path << ": " << walk.status.ToString();
-    }
+  // A corrupt run after an intact one fails the whole merge, with an error
+  // that names the corrupt run.
+  auto expect_corrupt = [&good](const std::string& path) {
+    const Walk walk = MergeRuns({good, path});
+    EXPECT_EQ(walk.status.code(), StatusCode::kCorruption)
+        << path << ": " << walk.status.ToString();
+    EXPECT_NE(walk.status.message().find(path), std::string::npos)
+        << walk.status.ToString();
   };
 
   // Rewrites the checksum trailer to match the (tampered) payload — the
@@ -253,12 +220,12 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
   expect_corrupt(write_variant("bad_magic_restamped.avspill",
                                patch_trailer(bad_magic)));
 
-  // Torn tail (the crash shape): the trailer is gone, so Open rejects.
+  // Torn tail (the crash shape): the trailer is gone.
   expect_corrupt(
       write_variant("truncated.avspill", bytes.substr(0, bytes.size() - 5)));
 
   // Single-bit rot anywhere in the payload: the whole-payload checksum
-  // catches it at Open.
+  // catches it.
   // File tail layout: name | sum(8) | columns(4) | trailer(24), so size-37
   // lands on the last byte of the last entry's name.
   std::string flipped = bytes;
@@ -272,33 +239,23 @@ TEST(SpillRunTest, CursorRejectsCorruptAndTruncatedRuns) {
 
   // Entry count inflated past what the file can hold: the size clamp.
   expect_corrupt(write_variant("inflated_count.avspill", with_count(255)));
-  // Inflated by one, within the clamp: the walk runs off the last entry.
+  // Inflated by one, within the clamp: the entries run out first.
   expect_corrupt(write_variant("inflated_by_one.avspill", with_count(4)));
 
-  // Entry count under-reporting by one: a cursor that trusted it would
-  // silently drop the last entry; the exhaustion check must reject.
+  // Entry count under-reporting by one: a reader that trusted it would
+  // silently drop the last entry.
   expect_corrupt(write_variant("deflated_count.avspill", with_count(2)));
-
-  // --- files a run never is ---
-
-  // The untrailed AVIDX002 image of the same index: Load reads it, a
-  // cursor does not (a run never outlives the build that wrote it).
-  const std::string payload = bytes.substr(0, bytes.size() - kTrailerBytes);
-  std::string v2 = payload;
-  v2[7] = '2';
-  ASSERT_TRUE(PatternIndex::LoadFromBuffer(v2).ok());
-  expect_corrupt(write_variant("untrailed_v2.avidx", v2));
 
   // An AVSPILL02 run, the previous run format: 9-byte magic, the entries,
   // the count after them, then the trailer.
-  const std::string entries = payload.substr(16);
+  const std::string payload = bytes.substr(0, bytes.size() - kTrailerBytes);
   expect_corrupt(write_variant(
       "old_run.avspill",
-      patch_trailer("AVSPILL02" + entries + payload.substr(8, 8) +
+      patch_trailer("AVSPILL02" + payload.substr(16) + payload.substr(8, 8) +
                     std::string(kTrailerBytes, '\0'))));
 
   // The intact file still reads fine (the variants above are the problem).
-  EXPECT_TRUE(WalkFile(good).status.ok());
+  EXPECT_TRUE(MergeRuns({good}).status.ok());
 }
 
 // ------------------------------------------------------- Merge determinism
@@ -314,9 +271,9 @@ PatternIndex BuildChunk(const ChunkOps& ops) {
 
 TEST(SpillMergeTest, MergeMatchesInMemoryFoldByteForByte) {
   // Property test: N random chunk indexes over a shared name pool (so keys
-  // collide across chunks and the float fold order matters), merged through
-  // spill runs at several fan-ins, must reproduce the in-memory
-  // MergeFrom fold byte-for-byte.
+  // collide across chunks and the float fold order matters), folded from
+  // spill runs, must reproduce the in-memory MergeFrom fold byte-for-byte,
+  // emit in name order and leave nothing beside the runs.
   Rng rng(20260731);
   for (int trial = 0; trial < 4; ++trial) {
     std::vector<ChunkOps> chunks(6 + trial);
@@ -332,29 +289,26 @@ TEST(SpillMergeTest, MergeMatchesInMemoryFoldByteForByte) {
     for (const ChunkOps& ops : chunks) expected.MergeFrom(BuildChunk(ops));
     const std::string expected_bytes = SaveBytes(expected);
 
-    for (const size_t fanin : {size_t{0}, size_t{2}, size_t{3}}) {
-      ScopedTempDir dir = MakeTempDir();
-      std::vector<std::string> paths;
-      for (size_t c = 0; c < chunks.size(); ++c) {
-        paths.push_back(dir.File("run_" + std::to_string(c) + ".avspill"));
-        ASSERT_TRUE(WriteSpillRun(BuildChunk(chunks[c]), paths.back()).ok());
-      }
-      PatternIndex merged;
-      size_t passes = 0;
-      ASSERT_TRUE(MergeSpillRunsBounded(
-                      paths, fanin == 0 ? paths.size() : fanin, dir.path(),
-                      [&merged](SpillEntry&& e) {
-                        merged.InsertAggregate(e.key, e.name, e.sum_impurity,
-                                               e.columns);
-                      },
-                      &passes)
-                      .ok());
-      if (fanin == 2) {
-        EXPECT_GT(passes, 0u);
-      }
-      EXPECT_EQ(SaveBytes(merged), expected_bytes)
-          << "trial " << trial << " fanin " << fanin;
+    ScopedTempDir dir = MakeTempDir();
+    std::vector<std::string> paths;
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      paths.push_back(dir.File("run_" + std::to_string(c) + ".avspill"));
+      ASSERT_TRUE(WriteSpillRun(BuildChunk(chunks[c]), paths.back()).ok());
     }
+    const Walk walk = MergeRuns(paths);
+    ASSERT_TRUE(walk.status.ok()) << walk.status.ToString();
+    PatternIndex merged;
+    for (size_t i = 0; i < walk.entries.size(); ++i) {
+      const SpillEntry& e = walk.entries[i];
+      if (i > 0) {
+        EXPECT_LT(walk.entries[i - 1].name, e.name);
+      }
+      merged.InsertAggregate(e.key, e.name, e.sum_impurity, e.columns);
+    }
+    EXPECT_EQ(SaveBytes(merged), expected_bytes) << "trial " << trial;
+    EXPECT_EQ(static_cast<size_t>(std::distance(
+                  fs::directory_iterator(dir.path()), fs::directory_iterator())),
+              paths.size());
   }
 }
 
@@ -362,8 +316,8 @@ TEST(SpillMergeTest, MergeMatchesInMemoryFoldByteForByte) {
 
 TEST(SpillBuildTest, CsvStreamedSpillBuildMatchesInMemoryBuild) {
   // End-to-end out-of-core: lake on disk as CSVs, streamed chunk-by-chunk,
-  // chunk indexes spilled and k-way merged — saved bytes must equal the
-  // all-in-memory build over the identical corpus.
+  // chunk indexes spilled and folded back from their runs — saved bytes
+  // must equal the all-in-memory build over the identical corpus.
   const Corpus lake = testutil::SmallLake(300, 11);
   ScopedTempDir csv_dir = MakeTempDir();
   ASSERT_TRUE(SaveLakeToDir(lake, csv_dir.path(), LakeFormat::kCsv).ok());
@@ -418,24 +372,62 @@ TEST(SpillBuildTest, BudgetBoundsPeakChunkIndexResidency) {
   EXPECT_EQ(SaveBytes(*spilled), SaveBytes(*in_memory));
 }
 
-TEST(SpillBuildTest, TinyBudgetForcesCascadedMergePasses) {
+TEST(SpillBuildTest, TinyBudgetBuildMatchesInMemoryBytes) {
   // A budget far below one chunk index still builds correctly: every chunk
-  // spills, the derived fan-in bottoms out, and the left-cascade merge
-  // preserves the bytes.
+  // spills, the map phase runs one chunk at a time, and the reduce folds
+  // each run once into the in-memory build's bytes.
   const Corpus corpus = testutil::SmallLake(600, 13);
   IndexerConfig cfg;
   cfg.num_threads = 2;
   const std::string expected = SaveBytes(BuildIndex(corpus, cfg));
 
   IndexerConfig tiny = cfg;
-  tiny.build.memory_budget_bytes = 1;  // fan-in clamps to 2
+  tiny.build.memory_budget_bytes = 1;
   IndexerReport report;
   CorpusColumnReader reader(corpus);
   auto built = BuildIndexStreaming(reader, tiny, &report);
   ASSERT_TRUE(built.ok());
   EXPECT_EQ(report.spill_runs, 3u);  // ceil(600 / 256)
-  EXPECT_GT(report.merge_passes, 0u);
+  EXPECT_EQ(report.merge_passes, 0u);
   EXPECT_EQ(SaveBytes(*built), expected);
+}
+
+/// Forwards every durable syscall, but flips the first byte of each write,
+/// so every file written under it fails its checksum.
+class FlipFirstByteFileOps final : public FileOps {
+ public:
+  int Open(const char* path, int flags, mode_t mode) override {
+    return RealFileOps().Open(path, flags, mode);
+  }
+  ssize_t Write(int fd, const void* buf, size_t n) override {
+    std::string bytes(static_cast<const char*>(buf), n);
+    if (n > 0) bytes[0] ^= 0x01;
+    return RealFileOps().Write(fd, bytes.data(), n);
+  }
+  int Fsync(int fd) override { return RealFileOps().Fsync(fd); }
+  int Close(int fd) override { return RealFileOps().Close(fd); }
+  int Rename(const char* from, const char* to) override {
+    return RealFileOps().Rename(from, to);
+  }
+  int Unlink(const char* path) override { return RealFileOps().Unlink(path); }
+  int FsyncDir(const char* dir) override { return RealFileOps().FsyncDir(dir); }
+};
+
+TEST(SpillBuildTest, CorruptRunFailsTheBuild) {
+  // The reduce reads each run back through Load and all of its checks: a
+  // run that does not verify fails the build with an error naming it.
+  const Corpus corpus = testutil::SmallLake(80, 3);
+  IndexerConfig cfg;
+  cfg.num_threads = 1;
+  cfg.build.memory_budget_bytes = 1u << 20;
+  FlipFirstByteFileOps flip;
+  ScopedFileOps scoped(&flip);
+  CorpusColumnReader reader(corpus);
+  auto built = BuildIndexStreaming(reader, cfg, nullptr);
+  ASSERT_FALSE(built.ok());
+  EXPECT_EQ(built.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(built.status().message().find("run_0.avspill"), std::string::npos)
+      << built.status().ToString();
 }
 
 TEST(SpillBuildTest, SpillDirectoryIsRemovedAfterBuild) {
@@ -448,7 +440,7 @@ TEST(SpillBuildTest, SpillDirectoryIsRemovedAfterBuild) {
   CorpusColumnReader reader(corpus);
   auto built = BuildIndexStreaming(reader, cfg, nullptr);
   ASSERT_TRUE(built.ok());
-  // Every run and intermediate file lived under `parent`; all gone now.
+  // Every run lived under `parent`; all gone now.
   EXPECT_TRUE(fs::is_empty(parent.path()));
 }
 

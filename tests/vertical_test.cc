@@ -160,18 +160,5 @@ TEST_F(VerticalTest, HeterogeneousValuesRejected) {
   EXPECT_FALSE(sol.ok());
 }
 
-TEST_F(VerticalTest, MsaAblationAgreesOnHomogeneousColumns) {
-  const auto values = WideCompositeColumn();
-  AutoValidateOptions with_msa;
-  with_msa.min_coverage = 10;
-  AutoValidateOptions no_msa = with_msa;
-  no_msa.vertical_skip_msa = true;
-  auto a = SolveFmdvV(values, *index_, with_msa);
-  auto b = SolveFmdvV(values, *index_, no_msa);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->pattern.ToString(), b->pattern.ToString());
-}
-
 }  // namespace
 }  // namespace av
