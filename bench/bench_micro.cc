@@ -644,6 +644,42 @@ void BM_ServiceValidateStreamLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ServiceValidateStreamLoop);
 
+/// One rule stored into a store of N rules, two thirds of which carry
+/// lifecycle meta: the publish every online TRAIN pays. Each iteration
+/// replaces a random stored rule with its meta, so the store keeps its size
+/// and shape. The cost should grow with log N, not N.
+void BM_ServiceUpsert(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  ValidationService service(nullptr, AutoValidateOptions{}, 1);
+  ValidationRule rule;
+  rule.method = Method::kFmdvVH;
+  rule.pattern = *Pattern::Parse("<digit>{4}-<digit>{2}-<digit>{2}");
+  rule.segments = {rule.pattern};
+  rule.train_size = 100;
+  std::vector<std::string> names;
+  std::vector<RuleMeta> metas;
+  std::vector<ValidationService::RuleUpdate> store;
+  for (size_t i = 0; i < n; ++i) {
+    names.push_back("iso_date_" + std::to_string(i));
+    RuleMeta meta;
+    if (i % 3 != 0) {
+      meta.trained_at_ms = 1'700'000'000'000 + i;
+      meta.ttl_ms = 86'400'000;
+    }
+    metas.push_back(meta);
+    store.push_back({names.back(), rule, meta});
+  }
+  service.UpsertBatch(std::move(store));
+  Rng rng(5);
+  for (auto _ : state) {
+    const size_t i = rng.Below(n);
+    std::vector<ValidationService::RuleUpdate> one;
+    one.push_back({names[i], rule, metas[i]});
+    service.UpsertBatch(std::move(one));
+  }
+}
+BENCHMARK(BM_ServiceUpsert)->Arg(1024)->Arg(16384);
+
 /// Serving-over-loopback fixture: an avserved-style epoll Server on an
 /// ephemeral 127.0.0.1 port, backed by its own trained ServiceFixture store.
 /// Built once; the process exit reaps the server threads.

@@ -320,7 +320,8 @@ int main(int argc, char** argv) {
       // A single-rule file validates any column name for convenience.
       const auto snapshot = service.Snapshot();
       if (snapshot->rules.size() != 1) return Fail(report.status().ToString());
-      report = av::ValidateColumn(*snapshot->rules.begin()->second, *values,
+      report = av::ValidateColumn(*snapshot->rules.begin()->second.rule,
+                                  *values,
                                   service.options().max_sample_violations);
     }
     std::printf("values=%llu nonconforming=%llu theta=%.4f p=%.4g -> %s\n",

@@ -1,7 +1,10 @@
 // Fuzz target for rule-set deserialization: arbitrary bytes through
 // ValidationService::ParseRuleSetBuffer (the pure parse behind Load — no
 // service instance, no thread pool) must return an error or a fully-valid
-// RuleSet — never crash, hang, or publish a half-parsed store.
+// RuleSet — never crash, hang, or publish a half-parsed store. Every
+// accepted image must also round-trip: SerializeRuleSet (Save's bytes) of
+// the parsed set, parsed again, gives an equal set — the same version,
+// names, rule serializations and meta, in the same order.
 //
 // Build with -DAV_FUZZ=ON; under clang this is a libFuzzer binary, under
 // gcc it links fuzz/standalone_driver.cc and replays files given as args.
@@ -16,6 +19,8 @@
 // inside the parser instead of stuck at its first gate.
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <string_view>
@@ -26,18 +31,50 @@
 #include "common/rng.h"
 #include "core/validation_service.h"
 
+namespace {
+
+/// Appends a correct AVTRAIL1 trailer (len | PolyHash64 | magic) to `text`.
+void StampTrailer(std::string& text) {
+  const uint64_t len = text.size();
+  const uint64_t digest = av::PolyHash64(text);
+  text.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  text.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
+  text.append(av::kTrailerMagic, sizeof(av::kTrailerMagic));
+}
+
+bool SameRuleSet(const av::ValidationService::RuleSet& a,
+                 const av::ValidationService::RuleSet& b) {
+  if (a.version != b.version || a.rules.size() != b.rules.size()) {
+    return false;
+  }
+  auto it = b.rules.begin();
+  for (const auto& [name, entry] : a.rules) {
+    const auto& [other_name, other] = *it++;
+    if (name != other_name || entry.meta != other.meta ||
+        entry.rule->Serialize() != other.rule->Serialize()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   auto parsed = av::ValidationService::ParseRuleSetBuffer(bytes);
-  if (parsed.ok()) {
-    // Every accepted rule must round-trip-serialize (the invariant Save
-    // depends on).
-    for (const auto& [name, rule] : parsed->rules) {
-      (void)name;
-      (void)rule->pattern.ToString();
-    }
-  } else {
+  if (!parsed.ok()) {
     (void)parsed.status().ToString();
+    return 0;
+  }
+  std::string image = av::ValidationService::SerializeRuleSet(*parsed);
+  StampTrailer(image);
+  auto reparsed = av::ValidationService::ParseRuleSetBuffer(image);
+  if (!reparsed.ok() || !SameRuleSet(*parsed, *reparsed)) {
+    std::fprintf(stderr, "rule set does not survive a save and load: %s\n",
+                 reparsed.ok() ? "entries differ"
+                               : reparsed.status().ToString().c_str());
+    std::abort();
   }
   return 0;
 }
@@ -50,15 +87,6 @@ extern "C" size_t LLVMFuzzerMutate(uint8_t* data, size_t size,
                                    size_t max_size);
 
 namespace {
-
-/// Appends a correct AVTRAIL1 trailer (len | PolyHash64 | magic) to `text`.
-void StampTrailer(std::string& text) {
-  const uint64_t len = text.size();
-  const uint64_t digest = av::PolyHash64(text);
-  text.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  text.append(reinterpret_cast<const char*>(&digest), sizeof(digest));
-  text.append(av::kTrailerMagic, sizeof(av::kTrailerMagic));
-}
 
 /// Splits on '\n' (keeping empty lines — the parser sees them too).
 std::vector<std::string> SplitLines(std::string_view text) {

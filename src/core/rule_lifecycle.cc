@@ -88,18 +88,16 @@ size_t RuleLifecycle::ScanOnce() {
 
   struct Work {
     std::string name;
+    /// The stored rule this retrain replaces, and the only one it may.
+    std::shared_ptr<const ValidationRule> rule;
     std::vector<std::string> rows;
     RuleMeta meta;  ///< previous meta (ttl carried forward)
   };
   std::vector<Work> due;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, rule] : snapshot->rules) {
-      (void)rule;
-      RuleMeta meta;
-      if (auto it = snapshot->meta.find(name); it != snapshot->meta.end()) {
-        meta = it->second;
-      }
+    for (const auto& [name, entry] : snapshot->rules) {
+      const RuleMeta meta = entry.meta.value_or(RuleMeta{});
       bool is_due = meta.ExpiredAt(now);
       const auto state_it = columns_.find(name);
       if (!is_due && opts_.violation_threshold > 0 &&
@@ -112,14 +110,14 @@ size_t RuleLifecycle::ScanOnce() {
         ++retrains_skipped_;
         continue;
       }
-      due.push_back({name, state_it->second.cached_rows, meta});
+      due.push_back({name, entry.rule, state_it->second.cached_rows, meta});
     }
   }
 
   // Retrain outside the lock, off the serving threads: neither readers nor
   // RecordOutcome/RecordBatch ever stall behind a training.
   std::vector<ValidationService::RuleUpdate> updates;
-  std::vector<std::string> retrained;
+  std::vector<std::string> names;  ///< of `updates`
   for (Work& w : due) {
     auto rule =
         service_->engine().Train(ColumnView(w.rows), opts_.retrain_method);
@@ -132,22 +130,27 @@ size_t RuleLifecycle::ScanOnce() {
     meta.trained_at_ms = now;
     meta.ttl_ms = w.meta.ttl_ms != 0 ? w.meta.ttl_ms : opts_.default_ttl_ms;
     meta.retrains = w.meta.retrains + 1;
-    updates.push_back({w.name, std::move(rule).value(), meta});
-    retrained.push_back(std::move(w.name));
+    updates.push_back(
+        {w.name, std::move(rule).value(), meta, std::move(w.rule)});
+    names.push_back(std::move(w.name));
   }
 
   // ONE warm-swapped generation for the whole round: a reader sees either
-  // every retrained rule or none of them.
-  service_->UpsertBatch(std::move(updates));
+  // every retrained rule or none of them. A rule stored or removed while
+  // its retrain ran stays as the newer write left it.
+  const std::vector<bool> installed = service_->UpsertBatch(std::move(updates));
 
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::string& name : retrained) {
-    auto it = columns_.find(name);
+  size_t retrained = 0;
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (!installed[i]) continue;
+    ++retrained;
+    auto it = columns_.find(names[i]);
     if (it != columns_.end()) it->second.flagged_since_train = 0;
   }
-  retrains_completed_ += retrained.size();
+  retrains_completed_ += retrained;
   ++scans_;
-  return retrained.size();
+  return retrained;
 }
 
 void RuleLifecycle::StartScanner() {

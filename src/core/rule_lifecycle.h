@@ -23,7 +23,11 @@
 // Concurrency: all mutable state lives behind one mutex (the scanner tick
 // and the serving-path RecordOutcome/RecordBatch touches are brief);
 // training itself runs outside the lock on the caller/scanner thread, and
-// the store install is the service's pointer swap. Clock is injectable
+// the store install is the service's pointer swap. A background retrain
+// never overwrites a newer write: each retrained rule is installed only if
+// the store still holds the exact rule the scan retrained (UpsertBatch's
+// `if_current`), so a Train or Upsert that lands while the retrain runs
+// keeps its rule, and a Remove stays removed. Clock is injectable
 // (options.now_ms) so expiry is testable without sleeping.
 #pragma once
 
@@ -102,8 +106,10 @@ class RuleLifecycle {
   /// One synchronous freshness pass: finds every stored rule that is
   /// expired (RuleMeta::ExpiredAt) or violation-heavy, retrains each from
   /// its cached source off the serving threads, and installs all successful
-  /// retrains as ONE warm-swapped generation. Returns the number of rules
-  /// retrained. The scanner calls this every tick; tests call it directly.
+  /// retrains as ONE warm-swapped generation. A retrain whose rule was
+  /// replaced or removed while it ran is dropped, and the version moves
+  /// only when some retrain was installed. Returns the number of rules
+  /// installed. The scanner calls this every tick; tests call it directly.
   size_t ScanOnce();
 
   // ---------------------------------------------------------------- stats

@@ -1,5 +1,6 @@
 #include "core/validation_service.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -123,10 +124,9 @@ std::vector<ValidationService::TrainOutcome> ValidationService::TrainAll(
     bool changed = false;
     for (size_t i = 0; i < columns.size(); ++i) {
       if (trained[i] == nullptr) continue;
-      next->rules[columns[i].name] = std::move(trained[i]);
-      // Fresh training: drop stale lifecycle meta (the service keeps no
-      // clock — RuleLifecycle stamps meta through UpsertBatch).
-      next->meta.erase(columns[i].name);
+      // Fresh training: no lifecycle meta (the service keeps no clock —
+      // RuleLifecycle stamps meta through UpsertBatch).
+      next->rules.Set(columns[i].name, {std::move(trained[i]), std::nullopt});
       changed = true;
     }
     return changed;
@@ -158,13 +158,13 @@ TableReport ValidationService::ValidateAll(
   pool_.ParallelFor(columns.size(), [&](size_t i) {
     TableReport::ColumnOutcome& out = table.columns[i];
     out.name = columns[i].name;
-    const auto it = snapshot->rules.find(out.name);
-    if (it == snapshot->rules.end()) {
+    const RuleEntry* entry = snapshot->rules.Find(out.name);
+    if (entry == nullptr) {
       out.status =
           Status::NotFound("no rule for column '" + out.name + "'");
       return;
     }
-    out.rule = it->second;
+    out.rule = entry->rule;
     out.report = ValidateColumn(*out.rule, columns[i].values, max_samples,
                                 &out.stats);
     out.status = Status::OK();
@@ -286,9 +286,8 @@ void TableSession::Feed(std::string_view name, ColumnView batch) {
   if (it == sessions_.end()) {
     // First sight of this column: open its session on the pinned snapshot.
     std::optional<ValidationSession> session;
-    const auto rule_it = snapshot_->rules.find(name);
-    if (rule_it != snapshot_->rules.end()) {
-      session.emplace(rule_it->second, max_samples_);
+    if (const auto* entry = snapshot_->rules.Find(name); entry != nullptr) {
+      session.emplace(entry->rule, max_samples_);
     }
     it = sessions_.emplace(std::string(name), std::move(session)).first;
     order_.push_back(it->first);
@@ -327,84 +326,91 @@ TableReport TableSession::Finish() const {
 void ValidationService::Upsert(const std::string& name, ValidationRule rule) {
   auto shared = std::make_shared<const ValidationRule>(std::move(rule));
   Update([&](RuleSet* next) {
-    next->rules[name] = std::move(shared);
     // A manual upsert has unknown provenance: stale lifecycle meta (old
     // training time / TTL) must not carry over to the new rule.
-    next->meta.erase(name);
+    next->rules.Set(name, {std::move(shared), std::nullopt});
     return true;
   });
 }
 
-void ValidationService::UpsertBatch(std::vector<RuleUpdate> updates) {
-  if (updates.empty()) return;
+std::vector<bool> ValidationService::UpsertBatch(
+    std::vector<RuleUpdate> updates) {
+  std::vector<bool> installed(updates.size(), false);
   Update([&](RuleSet* next) {
-    for (RuleUpdate& u : updates) {
-      next->rules[u.name] =
-          std::make_shared<const ValidationRule>(std::move(u.rule));
-      if (u.meta == RuleMeta{}) {
-        next->meta.erase(u.name);
-      } else {
-        next->meta[u.name] = u.meta;
+    bool changed = false;
+    for (size_t i = 0; i < updates.size(); ++i) {
+      RuleUpdate& u = updates[i];
+      if (u.if_current != nullptr) {
+        const RuleEntry* entry = next->rules.Find(u.name);
+        if (entry == nullptr || entry->rule != u.if_current) continue;
       }
+      auto rule = std::make_shared<const ValidationRule>(std::move(u.rule));
+      std::optional<RuleMeta> meta;
+      if (u.meta != RuleMeta{}) meta = u.meta;
+      next->rules.Set(std::move(u.name), {std::move(rule), meta});
+      installed[i] = true;
+      changed = true;
     }
-    return true;
+    return changed;
   });
+  return installed;
 }
 
 bool ValidationService::Remove(std::string_view name) {
-  return Update([&](RuleSet* next) {
-    auto it = next->rules.find(name);
-    if (it == next->rules.end()) return false;
-    next->rules.erase(it);
-    auto mit = next->meta.find(name);
-    if (mit != next->meta.end()) next->meta.erase(mit);
-    return true;
-  });
+  return Update([&](RuleSet* next) { return next->rules.Erase(name); });
 }
 
 std::shared_ptr<const ValidationRule> ValidationService::Find(
     std::string_view name) const {
   const auto snapshot = Snapshot();
-  auto it = snapshot->rules.find(name);
-  return it == snapshot->rules.end() ? nullptr : it->second;
+  const RuleEntry* entry = snapshot->rules.Find(name);
+  return entry == nullptr ? nullptr : entry->rule;
 }
 
 std::optional<RuleMeta> ValidationService::FindMeta(
     std::string_view name) const {
   const auto snapshot = Snapshot();
-  if (snapshot->rules.find(name) == snapshot->rules.end()) {
-    return std::nullopt;
-  }
-  auto it = snapshot->meta.find(name);
-  return it == snapshot->meta.end() ? RuleMeta{} : it->second;
+  const RuleEntry* entry = snapshot->rules.Find(name);
+  if (entry == nullptr) return std::nullopt;
+  return entry->meta.value_or(RuleMeta{});
 }
 
-Status ValidationService::Save(const std::string& path) const {
-  const auto snapshot = Snapshot();
-  // Crash-safe save: serialize aside, land via temp file + checksum trailer
-  // + fsync + atomic rename. The previous rule-set file is untouched until
-  // the new one is fully durable — a killed save can no longer destroy the
-  // last good generation (the old code opened the target with trunc).
+std::string ValidationService::SerializeRuleSet(const RuleSet& set) {
+  size_t meta_count = 0;
+  for (const auto& [name, entry] : set.rules) {
+    if (entry.meta.has_value()) ++meta_count;
+  }
   std::ostringstream text;
-  text << kRuleSetMagic << "|version=" << snapshot->version
-       << "|count=" << snapshot->rules.size();
+  text << kRuleSetMagic << "|version=" << set.version
+       << "|count=" << set.rules.size();
   // The meta header field (and section) is emitted only when some rule
   // carries lifecycle meta, so a set without TTLs produces bytes identical
   // to the pre-lifecycle AVRULESET2 format.
-  if (!snapshot->meta.empty()) text << "|meta=" << snapshot->meta.size();
+  if (meta_count != 0) text << "|meta=" << meta_count;
   text << "\n";
-  for (const auto& [name, rule] : snapshot->rules) {
-    text << EscapeRuleField(name) << "|" << rule->Serialize() << "\n";
+  for (const auto& [name, entry] : set.rules) {
+    text << EscapeRuleField(name) << "|" << entry.rule->Serialize() << "\n";
   }
-  for (const auto& [name, meta] : snapshot->meta) {
+  for (const auto& [name, entry] : set.rules) {
+    if (!entry.meta.has_value()) continue;
+    const RuleMeta& meta = *entry.meta;
     text << EscapeRuleField(name) << "|" << kRuleMetaMagic
          << "|trained_at_ms=" << meta.trained_at_ms
          << "|ttl_ms=" << meta.ttl_ms << "|retrains=" << meta.retrains
          << "\n";
   }
+  return std::move(text).str();
+}
+
+Status ValidationService::Save(const std::string& path) const {
+  // Crash-safe save: serialize aside, land via temp file + checksum trailer
+  // + fsync + atomic rename. The previous rule-set file is untouched until
+  // the new one is fully durable — a killed save can no longer destroy the
+  // last good generation (the old code opened the target with trunc).
+  const std::string text = SerializeRuleSet(*Snapshot());
   DurableFileWriter out;
   AV_RETURN_NOT_OK(out.Open(path));
-  AV_RETURN_NOT_OK(out.Append(text.str()));
+  AV_RETURN_NOT_OK(out.Append(text));
   return out.Commit();
 }
 
@@ -455,8 +461,17 @@ Result<ValidationService::RuleSet> ValidationService::ParseRuleSetBuffer(
     }
   }
 
-  RuleSet set;
-  set.version = version;
+  // Entries are gathered, sorted by name (a saved file already is) and
+  // bulk-built into the map: no path copy per line.
+  using Item = std::pair<std::string, RuleEntry>;
+  const auto by_name = [](const Item& a, const Item& b) {
+    return a.first < b.first;
+  };
+  std::vector<Item> items;
+  // Every rule line takes at least two bytes, so a forged count cannot
+  // reserve more than the payload could hold.
+  items.reserve(
+      static_cast<size_t>(std::min<uint64_t>(count, payload.size() / 2)));
   std::string line;
   for (uint64_t i = 0; i < count; ++i) {
     if (!std::getline(in, line)) {
@@ -476,12 +491,19 @@ Result<ValidationService::RuleSet> ValidationService::ParseRuleSetBuffer(
     auto rule =
         ValidationRule::Deserialize(std::string_view(line).substr(sep + 1));
     if (!rule.ok()) return rule.status();
-    if (!set.rules
-             .emplace(std::move(name), std::make_shared<const ValidationRule>(
-                                           std::move(rule).value()))
-             .second) {
-      return Status::Corruption("duplicate rule-set entry");
-    }
+    items.emplace_back(std::move(name),
+                       RuleEntry{std::make_shared<const ValidationRule>(
+                                     std::move(rule).value()),
+                                 std::nullopt});
+  }
+  if (!std::is_sorted(items.begin(), items.end(), by_name)) {
+    std::sort(items.begin(), items.end(), by_name);
+  }
+  if (std::adjacent_find(items.begin(), items.end(),
+                         [](const Item& a, const Item& b) {
+                           return a.first == b.first;
+                         }) != items.end()) {
+    return Status::Corruption("duplicate rule-set entry");
   }
   // Optional lifecycle-meta section: one AVRULEMETA1 line per entry, each
   // naming a rule parsed above. Strict: fixed field order, digits-only
@@ -498,7 +520,10 @@ Result<ValidationService::RuleSet> ValidationService::ParseRuleSetBuffer(
       return Status::Corruption("malformed rule-set meta line: " + line);
     }
     std::string name = UnescapeRuleField(std::string_view(line).substr(0, sep));
-    if (set.rules.find(name) == set.rules.end()) {
+    const auto it = std::lower_bound(
+        items.begin(), items.end(), name,
+        [](const Item& item, const std::string& n) { return item.first < n; });
+    if (it == items.end() || it->first != name) {
       return Status::Corruption("rule-set meta for unknown rule '" + name +
                                 "'");
     }
@@ -515,10 +540,15 @@ Result<ValidationService::RuleSet> ValidationService::ParseRuleSetBuffer(
         std::getline(ms, magic, '|')) {
       return Status::Corruption("malformed rule-set meta line: " + line);
     }
-    if (!set.meta.emplace(std::move(name), meta).second) {
+    if (it->second.meta.has_value()) {
       return Status::Corruption("duplicate rule-set meta entry");
     }
+    it->second.meta = meta;
   }
+  RuleSet set;
+  set.version = version;
+  set.rules =
+      PersistentMap<std::string, RuleEntry>::FromSorted(std::move(items));
   return set;
 }
 

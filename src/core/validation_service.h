@@ -14,11 +14,14 @@
 // Concurrency model: the rule store is an immutable snapshot behind a
 // shared_ptr. Readers (Validate / ValidateAll / OpenSession /
 // OpenTableSession / Find) copy the pointer under a mutex held for that
-// copy alone, and then never block; writers (Upsert / Remove / TrainAll /
-// Load) serialize on a second mutex, build the next snapshot aside, and
-// publish it with a bumped version by swapping the pointer under the
-// first. A reader holding a snapshot keeps its rules alive across any
-// number of store updates.
+// copy alone, and then never block; writers (Upsert / UpsertBatch / Remove
+// / TrainAll / Load) serialize on a second mutex, derive the next snapshot
+// from the current one, and publish it with a bumped version by swapping
+// the pointer under the first. The rules live in a PersistentMap
+// (common/persistent_map.h), so deriving a snapshot copies only the tree
+// path of each rule written, never the whole store: a publish costs
+// O(log n) in the number of stored rules. A reader holding a snapshot keeps
+// its rules alive across any number of store updates.
 //
 // Table-level serving: ValidateAll loads ONE snapshot, fans the table's
 // columns out over the service's thread pool, and judges every column
@@ -39,6 +42,7 @@
 #include <vector>
 
 #include "common/column_view.h"
+#include "common/persistent_map.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "core/auto_validate.h"
@@ -146,17 +150,23 @@ class ValidationService {
     Status status;  ///< OK when a rule was trained and stored
   };
 
-  /// An immutable, versioned snapshot of the rule store.
+  /// One stored rule and its lifecycle meta.
+  struct RuleEntry {
+    std::shared_ptr<const ValidationRule> rule;
+    /// nullopt: no meta (unknown provenance, never expires). Writers store
+    /// an all-zero RuleMeta as nullopt; only a loaded file's explicit
+    /// all-zero AVRULEMETA1 line is kept engaged, so it saves back as it
+    /// was read.
+    std::optional<RuleMeta> meta;
+  };
+
+  /// An immutable, versioned snapshot of the rule store. Copying one copies
+  /// the map's root pointer; the entries are shared.
   struct RuleSet {
     uint64_t version = 0;
-    /// Ordered so iteration (and Save) is deterministic; transparent
-    /// comparator so lookups by string_view allocate nothing.
-    std::map<std::string, std::shared_ptr<const ValidationRule>, std::less<>>
-        rules;
-    /// Lifecycle metadata, keyed by the same column names. Sparse: a rule
-    /// with no entry has default meta (no TTL). Invariant: every meta key
-    /// has a rule (enforced by the writers and the AVRULESET2 loader).
-    std::map<std::string, RuleMeta, std::less<>> meta;
+    /// Name order, so iteration (and Save) is deterministic; transparent
+    /// comparator, so lookups by string_view allocate nothing.
+    PersistentMap<std::string, RuleEntry> rules;
   };
 
   /// One entry of an UpsertBatch generation install.
@@ -164,6 +174,10 @@ class ValidationService {
     std::string name;
     ValidationRule rule;
     RuleMeta meta;
+    /// When set, the update installs only if the store still holds exactly
+    /// this rule under `name` (a compare-and-swap); an update whose rule was
+    /// replaced or removed since is skipped. Null installs unconditionally.
+    std::shared_ptr<const ValidationRule> if_current = nullptr;
   };
 
   /// `index` must outlive the service; it may be null for a validate-only
@@ -224,9 +238,11 @@ class ValidationService {
   /// already-open sessions observe either the previous snapshot or the
   /// complete new one, never a mix; this is the install path background
   /// retraining uses (RuleLifecycle) and the same machinery TrainAll's
-  /// batch install rides. A later duplicate name within one batch wins.
-  /// No-op (no version bump) on an empty batch.
-  void UpsertBatch(std::vector<RuleUpdate> updates);
+  /// batch install rides. A later duplicate name within one batch wins, and
+  /// its `if_current` is checked against the store as the earlier updates
+  /// left it. Returns, per update, whether it was installed; the version is
+  /// bumped only when at least one was (so never on an empty batch).
+  std::vector<bool> UpsertBatch(std::vector<RuleUpdate> updates);
 
   /// Removes a rule (and its lifecycle meta); returns false when absent
   /// (version bumped only on actual removal).
@@ -249,14 +265,19 @@ class ValidationService {
 
   // ---------------------------------------------------------- persistence
 
-  /// Writes the whole rule set to `path` (deterministic bytes: rules sorted
-  /// by name, one line-serialized rule per line, then one AVRULEMETA1 line
-  /// per rule with lifecycle meta; format AVRULESET2 — a set with no meta
-  /// produces bytes identical to the pre-lifecycle format). The
-  /// write is crash-safe: temp file + checksum trailer + fsync + atomic
-  /// rename, so a killed save never leaves a torn file and never destroys
-  /// the previously saved rule set.
+  /// Writes the whole rule set to `path`: SerializeRuleSet's bytes, landed
+  /// crash-safe — temp file + checksum trailer + fsync + atomic rename, so
+  /// a killed save never leaves a torn file and never destroys the
+  /// previously saved rule set.
   Status Save(const std::string& path) const;
+
+  /// The text payload of a rule-set file, format AVRULESET2 (Save appends
+  /// the checksum trailer). Deterministic: rules in name order, one
+  /// line-serialized rule per line, then one AVRULEMETA1 line per rule with
+  /// lifecycle meta. A set with no meta produces bytes identical to the
+  /// pre-lifecycle format. The bytes depend only on the set's content and
+  /// version, never on the order its rules were stored in.
+  static std::string SerializeRuleSet(const RuleSet& set);
 
   /// Replaces the rule store with the set loaded from `path` (adopting the
   /// file's version). Reads AVRULESET2 (trailer-verified) and, for
@@ -270,15 +291,18 @@ class ValidationService {
 
   /// Pure parse of a rule-set file image into a RuleSet — no service
   /// instance, no store mutation (fuzzing, tooling). Same validation and
-  /// version handling as Load.
+  /// version handling as Load. The entries are sorted and bulk-built into
+  /// the map in one pass.
   static Result<RuleSet> ParseRuleSetBuffer(std::string_view data);
 
   const AutoValidateOptions& options() const { return engine_.options(); }
   const AutoValidate& engine() const { return engine_; }
 
  private:
-  /// Copy-on-write helper: clones the current snapshot, applies `mutate`
-  /// (returning whether anything changed), publishes with version + 1.
+  /// Copy-on-write helper: copies the current snapshot (its map's root
+  /// pointer), applies `mutate` (returning whether anything changed; the
+  /// map's writes copy only the paths they touch), publishes with
+  /// version + 1.
   template <typename Mutate>
   bool Update(const Mutate& mutate);
   /// Swaps the published snapshot for `next`.

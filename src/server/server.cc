@@ -502,13 +502,13 @@ std::string Server::HandleValidate(WireReader& r) {
   // One snapshot per request: rule lookup and judgement come from
   // the same store generation, and the reply says which.
   const auto snapshot = service_->Snapshot();
-  const auto it = snapshot->rules.find(name);
-  if (it == snapshot->rules.end()) {
+  const auto* entry = snapshot->rules.Find(name);
+  if (entry == nullptr) {
     return ErrorReply(
         Status::NotFound("no rule for column '" + name + "'"));
   }
   const ValidationReport report =
-      ValidateColumn(*it->second, ColumnView(values),
+      ValidateColumn(*entry->rule, ColumnView(values),
                      service_->options().max_sample_violations);
   if (lifecycle_ != nullptr) lifecycle_->RecordOutcome(name, report.flagged);
   WireWriter w;
@@ -558,15 +558,15 @@ std::string Server::HandleSessionOpen(Conn* conn, WireReader& r) {
           Status::InvalidArgument("malformed SESSION_OPEN payload"));
     }
     const auto snapshot = service_->Snapshot();
-    const auto it = snapshot->rules.find(name);
-    if (it == snapshot->rules.end()) {
+    const auto* entry = snapshot->rules.Find(name);
+    if (entry == nullptr) {
       return ErrorReply(
           Status::NotFound("no rule for column '" + name + "'"));
     }
     const uint64_t id = conn->next_session_id++;
     conn->column_sessions.emplace(
         id, ColumnSessionState{
-                ValidationSession(it->second,
+                ValidationSession(entry->rule,
                                   service_->options().max_sample_violations),
                 snapshot->version, name});
     WireWriter w;

@@ -163,8 +163,8 @@ TEST(PersistenceTest, RuleSetReadsPreviousUntrailedFormat) {
   auto parsed = ValidationService::ParseRuleSetBuffer(v1);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->rules.size(), 2u);
-  EXPECT_TRUE(parsed->rules.count("order_date"));
-  EXPECT_TRUE(parsed->rules.count("ticket_id"));
+  EXPECT_NE(parsed->rules.Find("order_date"), nullptr);
+  EXPECT_NE(parsed->rules.Find("ticket_id"), nullptr);
 
   // Modern magic without its trailer: rejected.
   auto rejected =

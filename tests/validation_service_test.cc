@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <span>
 #include <thread>
 
+#include "common/durable_file.h"
 #include "common/rng.h"
 #include "lakegen/domains.h"
 #include "tests/test_util.h"
@@ -184,7 +188,7 @@ TEST(ValidationServiceStoreTest, UpsertFindRemoveVersioning) {
   EXPECT_TRUE(service.Remove("locale"));
   EXPECT_EQ(service.version(), 3u);
   EXPECT_EQ(service.Find("locale"), nullptr);
-  EXPECT_EQ(snapshot->rules.at("locale")->train_size, 200u);
+  EXPECT_EQ(snapshot->rules.Find("locale")->rule->train_size, 200u);
 
   // Removing a missing rule neither succeeds nor bumps the version.
   EXPECT_FALSE(service.Remove("locale"));
@@ -313,6 +317,214 @@ TEST(ValidationServiceStoreTest, LoadRejectsMalformedFiles) {
   // Failed loads must leave the store untouched.
   EXPECT_EQ(service.size(), 1u);
   EXPECT_NE(service.Find("keep"), nullptr);
+}
+
+TEST(ValidationServiceStoreTest, ExplicitZeroMetaLineSavesBackExactly) {
+  // A file may carry an AVRULEMETA1 line whose fields are all zero; the
+  // store keeps it as loaded, so Save(Load(f)) == f byte for byte.
+  const std::string rule = DigitsRule(10, 1).Serialize();
+  const std::string payload =
+      "AVRULESET2|version=7|count=2|meta=1\n"
+      "a|" + rule + "\n" +
+      "b|" + rule + "\n" +
+      "a|AVRULEMETA1|trained_at_ms=0|ttl_ms=0|retrains=0\n";
+  const std::string path = ::testing::TempDir() + "/zero_meta.avrs";
+  {
+    DurableFileWriter out;
+    ASSERT_TRUE(out.Open(path).ok());
+    ASSERT_TRUE(out.Append(payload).ok());
+    ASSERT_TRUE(out.Commit().ok());
+  }
+  ValidationService service(nullptr, AutoValidateOptions{}, 1);
+  ASSERT_TRUE(service.Load(path).ok());
+  EXPECT_EQ(service.FindMeta("a"), RuleMeta{});
+  const std::string resaved = ::testing::TempDir() + "/zero_meta_2.avrs";
+  ASSERT_TRUE(service.Save(resaved).ok());
+  const auto original = ReadFileToString(path);
+  const auto copy = ReadFileToString(resaved);
+  ASSERT_TRUE(original.ok() && copy.ok());
+  EXPECT_EQ(*copy, *original);
+}
+
+TEST(ValidationServiceStoreTest, UpsertBatchSkipsAStaleRule) {
+  ValidationService service(nullptr, AutoValidateOptions{}, 1);
+  RuleMeta meta;
+  meta.trained_at_ms = 5;
+  meta.ttl_ms = 10;
+  const auto batch_of = [](ValidationService::RuleUpdate u) {
+    std::vector<ValidationService::RuleUpdate> batch;
+    batch.push_back(std::move(u));
+    return batch;
+  };
+
+  // A retrain read rule 1; rule 2 landed before the retrain finished.
+  service.Upsert("ids", DigitsRule(1, 0));
+  const auto scanned = service.Find("ids");
+  service.Upsert("ids", DigitsRule(2, 0));
+  ASSERT_EQ(service.version(), 2u);
+  EXPECT_EQ(service.UpsertBatch(batch_of({"ids", DigitsRule(3, 0), meta,
+                                          scanned})),
+            std::vector<bool>{false});
+  EXPECT_EQ(service.version(), 2u);
+  EXPECT_EQ(service.Find("ids")->train_size, 2u);
+  EXPECT_EQ(service.FindMeta("ids"), RuleMeta{});
+
+  // A rule removed meanwhile stays removed.
+  const auto current = service.Find("ids");
+  ASSERT_TRUE(service.Remove("ids"));
+  EXPECT_EQ(service.UpsertBatch(batch_of({"ids", DigitsRule(4, 0), meta,
+                                          current})),
+            std::vector<bool>{false});
+  EXPECT_EQ(service.version(), 3u);
+  EXPECT_EQ(service.Find("ids"), nullptr);
+
+  // In a mixed batch only the current rule is replaced, in one generation.
+  service.Upsert("a", DigitsRule(5, 0));
+  service.Upsert("b", DigitsRule(6, 0));
+  const auto a = service.Find("a");
+  const auto b = service.Find("b");
+  service.Upsert("b", DigitsRule(7, 0));
+  ASSERT_EQ(service.version(), 6u);
+  std::vector<ValidationService::RuleUpdate> mixed;
+  mixed.push_back({"a", DigitsRule(8, 0), meta, a});
+  mixed.push_back({"b", DigitsRule(9, 0), meta, b});
+  EXPECT_EQ(service.UpsertBatch(std::move(mixed)),
+            (std::vector<bool>{true, false}));
+  EXPECT_EQ(service.version(), 7u);
+  EXPECT_EQ(service.Find("a")->train_size, 8u);
+  EXPECT_EQ(service.FindMeta("a"), meta);
+  EXPECT_EQ(service.Find("b")->train_size, 7u);
+}
+
+/// The store as a plain std::map: name -> (rule id, meta). A rule's id is
+/// its train_size, unique per rule the test stores.
+struct StoreModel {
+  struct Entry {
+    uint64_t id = 0;
+    std::optional<RuleMeta> meta;
+  };
+  uint64_t version = 0;
+  std::map<std::string, Entry, std::less<>> rules;
+};
+
+::testing::AssertionResult SnapshotMatchesModel(
+    const ValidationService::RuleSet& set, const StoreModel& model) {
+  if (set.version != model.version) {
+    return ::testing::AssertionFailure()
+           << "version " << set.version << ", model " << model.version;
+  }
+  if (set.rules.size() != model.rules.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << set.rules.size() << ", model " << model.rules.size();
+  }
+  auto it = set.rules.begin();
+  for (const auto& [name, want] : model.rules) {
+    const auto& [got_name, got] = *it++;
+    if (got_name != name || got.rule->train_size != want.id ||
+        got.meta != want.meta) {
+      return ::testing::AssertionFailure()
+             << "entry " << got_name << " differs from model entry " << name;
+    }
+    const auto* found = set.rules.Find(name);
+    if (found == nullptr || found->rule != got.rule) {
+      return ::testing::AssertionFailure() << "Find misses " << name;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(ValidationServiceStoreTest, MatchesModelAcrossRandomWrites) {
+  // Random Upsert / UpsertBatch (duplicates, meta, compare-and-swap) /
+  // Remove against a std::map model. After every write the live store
+  // must equal the model, and every earlier snapshot its own copy of the
+  // model: a write never changes what a published generation holds.
+  ValidationService service(nullptr, AutoValidateOptions{}, 1);
+  StoreModel model;
+  Rng rng(17);
+  std::vector<std::string> names;
+  for (int i = 0; i < 40; ++i) {
+    names.push_back(i % 7 == 0 ? "a-long-column-name-" + std::to_string(i)
+                               : "col_" + std::to_string(i));
+  }
+  uint64_t next_id = 1;
+  std::vector<std::pair<std::shared_ptr<const ValidationService::RuleSet>,
+                        StoreModel>>
+      history;
+  for (int op = 0; op < 250; ++op) {
+    const std::string& name = names[rng.Below(names.size())];
+    const uint64_t kind = rng.Below(10);
+    if (kind < 4) {
+      service.Upsert(name, DigitsRule(next_id, 0));
+      model.rules[name] = {next_id++, std::nullopt};
+      ++model.version;
+    } else if (kind < 6) {
+      const bool present = model.rules.erase(name) == 1;
+      EXPECT_EQ(service.Remove(name), present);
+      if (present) ++model.version;
+    } else {
+      // One generation of up to six updates; some carry meta, some an
+      // if_current taken from the live store or from an old snapshot.
+      std::vector<ValidationService::RuleUpdate> batch;
+      const size_t n = rng.Below(7);
+      for (size_t i = 0; i < n; ++i) {
+        ValidationService::RuleUpdate u;
+        u.name = names[rng.Below(names.size())];
+        u.rule = DigitsRule(next_id++, 0);
+        if (rng.Below(3) != 0) {
+          u.meta.trained_at_ms = rng.Below(3);
+          u.meta.ttl_ms = rng.Below(3);
+          u.meta.retrains = rng.Below(2);
+        }
+        const uint64_t guard = rng.Below(3);
+        if (guard == 1) {
+          u.if_current = service.Find(u.name);
+        } else if (guard == 2 && !history.empty()) {
+          const auto& old = history[rng.Below(history.size())].first;
+          if (const auto* e = old->rules.Find(u.name)) u.if_current = e->rule;
+        }
+        batch.push_back(std::move(u));
+      }
+      std::vector<bool> want;
+      for (const auto& u : batch) {
+        const auto it = model.rules.find(u.name);
+        const bool ok = u.if_current == nullptr ||
+                        (it != model.rules.end() &&
+                         it->second.id == u.if_current->train_size);
+        want.push_back(ok);
+        if (!ok) continue;
+        std::optional<RuleMeta> meta;
+        if (u.meta != RuleMeta{}) meta = u.meta;
+        model.rules[u.name] = {u.rule.train_size, meta};
+      }
+      if (std::find(want.begin(), want.end(), true) != want.end()) {
+        ++model.version;
+      }
+      ASSERT_EQ(service.UpsertBatch(std::move(batch)), want) << "op " << op;
+    }
+
+    const auto snapshot = service.Snapshot();
+    ASSERT_TRUE(SnapshotMatchesModel(*snapshot, model)) << "after op " << op;
+    EXPECT_EQ(service.version(), model.version);
+    EXPECT_EQ(service.size(), model.rules.size());
+    for (const std::string& n : names) {
+      const auto it = model.rules.find(n);
+      const auto rule = service.Find(n);
+      const auto meta = service.FindMeta(n);
+      if (it == model.rules.end()) {
+        ASSERT_EQ(rule, nullptr) << n;
+        ASSERT_FALSE(meta.has_value()) << n;
+      } else {
+        ASSERT_NE(rule, nullptr) << n;
+        ASSERT_EQ(rule->train_size, it->second.id) << n;
+        ASSERT_EQ(meta, it->second.meta.value_or(RuleMeta{})) << n;
+      }
+    }
+    for (size_t h = 0; h < history.size(); ++h) {
+      ASSERT_TRUE(SnapshotMatchesModel(*history[h].first, history[h].second))
+          << "snapshot " << h << " changed by op " << op;
+    }
+    history.emplace_back(snapshot, model);
+  }
 }
 
 // ---------------------------------------------------------------------------
