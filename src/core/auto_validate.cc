@@ -13,37 +13,32 @@ AutoValidate::AutoValidate(const PatternIndex* index, AutoValidateOptions opts)
 
 Result<ValidationRule> AutoValidate::TrainInternal(
     ColumnView train_values, Method method, FmdvObjective objective) const {
+  const bool horizontal =
+      method == Method::kFmdvH || method == Method::kFmdvVH;
+  const bool vertical = method == Method::kFmdvV || method == Method::kFmdvVH;
+
+  // One profile per training: the horizontal cut picks one of its groups
+  // and the solver runs on that group of the same profile.
+  const ColumnProfile profile =
+      TrainingProfile(train_values, opts_.gen, vertical);
+  auto split = SelectConforming(profile, horizontal, opts_);
+  if (!split.ok()) return split.status();
+
   ValidationRule rule;
   rule.method = method;
   rule.test = opts_.test;
   rule.significance = opts_.significance;
   rule.train_size = train_values.total_rows();
-
-  const bool horizontal =
-      method == Method::kFmdvH || method == Method::kFmdvVH;
-  const bool vertical = method == Method::kFmdvV || method == Method::kFmdvVH;
-
-  // The conforming split borrows `train_values`; both stay alive in this
-  // frame while `effective` views whichever one applies.
-  ColumnView effective = train_values;
-  ConformingSplit split;
-  if (horizontal) {
-    auto split_or = SelectConforming(train_values, opts_);
-    if (!split_or.ok()) return split_or.status();
-    split = std::move(split_or).value();
-    rule.train_nonconforming = split.nonconforming;
-    effective = split.view();
-  }
-
+  rule.train_nonconforming = split->nonconforming;
   if (vertical) {
-    auto sol = SolveFmdvV(effective, *index_, opts_);
+    auto sol = SolveFmdvV(profile, *split->group, *index_, opts_);
     if (!sol.ok()) return sol.status();
     rule.pattern = std::move(sol->pattern);
     rule.segments = std::move(sol->segment_patterns);
     rule.fpr_estimate = sol->fpr_total;
     rule.coverage = sol->min_segment_coverage;
   } else {
-    auto sol = SolveFmdv(effective, *index_, opts_, objective);
+    auto sol = SolveFmdv(profile, *split->group, *index_, opts_, objective);
     if (!sol.ok()) return sol.status();
     rule.pattern = sol->pattern;
     rule.segments = {sol->pattern};
@@ -72,13 +67,15 @@ Result<Pattern> AutoValidate::AutoTag(ColumnView train_values) const {
   // Dual formulation: tolerate up to theta non-conforming values (the FNR
   // budget), then pick the most restrictive pattern with enough corpus
   // support to be a real domain.
-  auto split_or = SelectConforming(train_values, opts_);
-  if (!split_or.ok()) return split_or.status();
+  const ColumnProfile profile =
+      TrainingProfile(train_values, opts_.gen, /*vertical=*/false);
+  auto split = SelectConforming(profile, /*cut=*/true, opts_);
+  if (!split.ok()) return split.status();
 
   AutoValidateOptions tag_opts = opts_;
   tag_opts.min_coverage = opts_.autotag_min_coverage;
   tag_opts.fpr_target = 1.0;  // FPR is unconstrained in the dual
-  auto sol = SolveFmdv(split_or->view(), *index_, tag_opts,
+  auto sol = SolveFmdv(profile, *split->group, *index_, tag_opts,
                        FmdvObjective::kMinCoverage);
   if (!sol.ok()) return sol.status();
   return sol->pattern;
@@ -87,20 +84,11 @@ Result<Pattern> AutoValidate::AutoTag(ColumnView train_values) const {
 Result<ValidationRule> TrainFmdvNoIndex(const Corpus& corpus,
                                         ColumnView train_values,
                                         const AutoValidateOptions& opts) {
-  if (train_values.empty()) {
-    return Status::InvalidArgument("empty query column");
-  }
-  const ColumnProfile profile = ColumnProfile::Build(train_values, opts.gen);
-  AV_RETURN_NOT_OK(CheckDistinctCap(profile, opts.gen));
-  if (profile.shapes().size() != 1 ||
-      profile.shapes().front().weight != profile.total_weight()) {
-    return Status::Infeasible("query column is not homogeneous");
-  }
-  const ShapeGroup& group = profile.shapes().front();
-  if (group.over_token_limit) {
-    return Status::Infeasible("query column exceeds tau");
-  }
-  ShapeOptions options(profile, group, opts.gen);
+  const ColumnProfile profile =
+      TrainingProfile(train_values, opts.gen, /*vertical=*/false);
+  auto split = SelectConforming(profile, /*cut=*/false, opts);
+  if (!split.ok()) return split.status();
+  ShapeOptions options(profile, *split->group, opts.gen);
 
   // Gather hypotheses first, then make ONE full scan over T computing
   // Imp_D(h) / Cov_T(h) for all of them (Definitions 1-3, no index).

@@ -69,44 +69,11 @@ Result<FmdvSolution> SolveFmdvRange(const ShapeOptions& options, size_t begin,
   return best;
 }
 
-Status CheckDistinctCap(const ColumnProfile& profile,
-                        const GeneralizeConfig& gen) {
-  if (profile.shapes().size() != 1 ||
-      profile.column().admitted_rows() == profile.total_weight()) {
-    return Status::OK();
-  }
-  return Status::Infeasible(
-      "query column has more than " +
-      std::to_string(gen.max_distinct_values) +
-      " distinct values (max_distinct_values); the rows past the cap join "
-      "no shape group");
-}
-
-Result<FmdvSolution> SolveFmdv(ColumnView values, const PatternIndex& index,
+Result<FmdvSolution> SolveFmdv(const ColumnProfile& profile,
+                               const ShapeGroup& group,
+                               const PatternIndex& index,
                                const AutoValidateOptions& opts,
                                FmdvObjective objective) {
-  if (values.empty()) {
-    return Status::InvalidArgument("empty query column");
-  }
-  const ColumnProfile profile = ColumnProfile::Build(values, opts.gen);
-  if (profile.shapes().empty()) {
-    return Status::Infeasible("no tokenizable values in query column");
-  }
-  if (profile.shapes().size() > 1) {
-    return Status::Infeasible(
-        "query column is not homogeneous (H(C) is empty); "
-        "use a horizontal-cut variant");
-  }
-  AV_RETURN_NOT_OK(CheckDistinctCap(profile, opts.gen));
-  const ShapeGroup& group = profile.shapes().front();
-  if (group.weight != profile.total_weight()) {
-    // Untokenizable (empty-string) values exist outside the single shape.
-    return Status::Infeasible("query column contains empty values");
-  }
-  if (group.over_token_limit) {
-    return Status::Infeasible(
-        "query column exceeds the token limit tau; use vertical cuts");
-  }
   ShapeOptions options(profile, group, opts.gen);
   return SolveFmdvRange(options, 0, options.num_positions(), index, opts,
                         objective);

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/column_view.h"
 #include "common/status.h"
 #include "core/options.h"
 #include "index/pattern_index.h"
@@ -43,17 +42,12 @@ Result<FmdvSolution> SolveFmdvRange(const ShapeOptions& options, size_t begin,
                                     FmdvObjective objective =
                                         FmdvObjective::kMinFpr);
 
-/// kInfeasible naming GeneralizeConfig::max_distinct_values when `profile`
-/// has one shape group and rows past that cap, which join no group; OK
-/// otherwise. The trainers ask it before their homogeneity checks, which
-/// would blame those rows on empty values or on heterogeneity.
-Status CheckDistinctCap(const ColumnProfile& profile,
-                        const GeneralizeConfig& gen);
-
-/// Solves basic FMDV for a query column. Requires homogeneous values (a
-/// single shape group); returns kInfeasible otherwise — callers wanting
-/// tolerance use the horizontal-cut variants (Section 4).
-Result<FmdvSolution> SolveFmdv(ColumnView values, const PatternIndex& index,
+/// Solves basic FMDV over the hypotheses of `group`, a shape group of
+/// `profile` that SelectConforming (core/horizontal.h) chose and checked:
+/// H(C) is the patterns consistent with every value of the group.
+Result<FmdvSolution> SolveFmdv(const ColumnProfile& profile,
+                               const ShapeGroup& group,
+                               const PatternIndex& index,
                                const AutoValidateOptions& opts,
                                FmdvObjective objective =
                                    FmdvObjective::kMinFpr);

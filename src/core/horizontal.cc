@@ -1,48 +1,52 @@
 #include "core/horizontal.h"
 
-#include "pattern/token.h"
+#include <string>
 
 namespace av {
 
-Result<ConformingSplit> SelectConforming(ColumnView values,
+ColumnProfile TrainingProfile(ColumnView values, const GeneralizeConfig& gen,
+                              bool vertical) {
+  GeneralizeConfig cfg = gen;
+  cfg.max_distinct_values = static_cast<size_t>(-1);
+  if (vertical) cfg.max_tokens = static_cast<size_t>(-1);
+  return ColumnProfile::Build(values, cfg);
+}
+
+Result<ConformingSplit> SelectConforming(const ColumnProfile& profile,
+                                         bool cut,
                                          const AutoValidateOptions& opts) {
-  if (values.empty()) {
+  if (profile.num_distinct() == 0) {
     return Status::InvalidArgument("empty query column");
   }
-  // Find the dominant shape (unbounded token limit: the horizontal cut is
-  // orthogonal to tau; width is handled downstream).
-  GeneralizeConfig wide = opts.gen;
-  wide.max_tokens = static_cast<size_t>(-1);
-  const ColumnProfile profile = ColumnProfile::Build(values, wide);
   if (profile.shapes().empty()) {
     return Status::Infeasible("no tokenizable values in query column");
   }
-  const ShapeGroup& dominant = profile.shapes().front();
-  const std::string dominant_key =
-      ShapeKey(dominant.proto_value, dominant.proto_tokens);
-
-  ConformingSplit split;
-  split.total = values.total_rows();
-  split.conforming.reserve(values.size());
-  if (values.has_weights()) split.conforming_weights.reserve(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    const std::string_view v = values[i];
-    const auto tokens = Tokenize(v);
-    if (!tokens.empty() && ShapeKey(v, tokens) == dominant_key) {
-      split.conforming.push_back(v);
-      if (values.has_weights()) {
-        split.conforming_weights.push_back(values.weight(i));
-      }
-    } else {
-      split.nonconforming += values.weight(i);
+  const ShapeGroup& group = profile.shapes().front();
+  const ConformingSplit split{&group, profile.total_weight() - group.weight};
+  if (cut) {
+    const double theta_train = static_cast<double>(split.nonconforming) /
+                               static_cast<double>(profile.total_weight());
+    if (theta_train > opts.theta) {
+      return Status::Infeasible("non-conforming fraction " +
+                                std::to_string(theta_train) +
+                                " exceeds tolerance theta");
     }
-  }
-  split.theta_train = static_cast<double>(split.nonconforming) /
-                      static_cast<double>(split.total);
-  if (split.theta_train > opts.theta) {
+  } else if (profile.shapes().size() > 1) {
     return Status::Infeasible(
-        "non-conforming fraction " + std::to_string(split.theta_train) +
-        " exceeds tolerance theta");
+        "query column is not homogeneous (H(C) is empty); "
+        "use a horizontal-cut variant");
+  } else if (split.nonconforming > 0) {
+    return Status::Infeasible("query column contains empty values");
+  }
+  if (group.value_ids.size() > opts.gen.max_distinct_values) {
+    return Status::Infeasible(
+        "the conforming values hold " + std::to_string(group.value_ids.size()) +
+        " distinct values, more than max_distinct_values (" +
+        std::to_string(opts.gen.max_distinct_values) + ")");
+  }
+  if (group.over_token_limit) {
+    return Status::Infeasible(
+        "query column exceeds the token limit tau; use vertical cuts");
   }
   return split;
 }

@@ -46,8 +46,6 @@ Result<ValidationRule> RuleLifecycle::Train(const std::string& name,
   RuleMeta meta;
   meta.trained_at_ms = NowMs();
   meta.ttl_ms = ttl_ms.value_or(opts_.default_ttl_ms);
-  const std::optional<RuleMeta> previous = service_->FindMeta(name);
-  if (previous.has_value()) meta.retrains = previous->retrains;
 
   std::vector<ValidationService::RuleUpdate> batch;
   batch.push_back({name, rule.value(), meta});

@@ -79,8 +79,9 @@ class RuleLifecycle {
   // ------------------------------------------------------------- training
 
   /// Trains `name` on the service's engine, installs rule + lifecycle meta
-  /// as one generation (UpsertBatch), and caches the values as the retrain
-  /// source. `ttl_ms` overrides options.default_ttl_ms when set.
+  /// as one generation (UpsertBatch, which keeps the column's retrain
+  /// count), and caches the values as the retrain source. `ttl_ms`
+  /// overrides options.default_ttl_ms when set.
   Result<ValidationRule> Train(const std::string& name, ColumnView values,
                                Method method = Method::kFmdvVH,
                                std::optional<uint64_t> ttl_ms = std::nullopt);

@@ -340,9 +340,15 @@ std::vector<bool> ValidationService::UpsertBatch(
     bool changed = false;
     for (size_t i = 0; i < updates.size(); ++i) {
       RuleUpdate& u = updates[i];
-      if (u.if_current != nullptr) {
-        const RuleEntry* entry = next->rules.Find(u.name);
-        if (entry == nullptr || entry->rule != u.if_current) continue;
+      const RuleEntry* entry = next->rules.Find(u.name);
+      if (u.if_current != nullptr &&
+          (entry == nullptr || entry->rule != u.if_current)) {
+        continue;
+      }
+      // Retrain counts are monotone across swaps: an update that read an
+      // older count (a TRAIN racing a background retrain) keeps the newer.
+      if (entry != nullptr && entry->meta.has_value()) {
+        u.meta.retrains = std::max(u.meta.retrains, entry->meta->retrains);
       }
       auto rule = std::make_shared<const ValidationRule>(std::move(u.rule));
       std::optional<RuleMeta> meta;

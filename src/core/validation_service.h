@@ -240,7 +240,8 @@ class ValidationService {
   /// retraining uses (RuleLifecycle) and the same machinery TrainAll's
   /// batch install rides. A later duplicate name within one batch wins, and
   /// its `if_current` is checked against the store as the earlier updates
-  /// left it. Returns, per update, whether it was installed; the version is
+  /// left it. An update never lowers the `retrains` of the entry it
+  /// replaces. Returns, per update, whether it was installed; the version is
   /// bumped only when at least one was (so never on an empty batch).
   std::vector<bool> UpsertBatch(std::vector<RuleUpdate> updates);
 

@@ -7,10 +7,10 @@
 
 namespace av {
 
-Result<VerticalSolution> SolveFmdvVOnProfile(const ColumnProfile& profile,
-                                             const ShapeGroup& group,
-                                             const PatternIndex& index,
-                                             const AutoValidateOptions& opts) {
+Result<VerticalSolution> SolveFmdvV(const ColumnProfile& profile,
+                                    const ShapeGroup& group,
+                                    const PatternIndex& index,
+                                    const AutoValidateOptions& opts) {
   ShapeOptions options(profile, group, opts.gen);
   const size_t n = options.num_positions();
   if (n == 0) {
@@ -85,29 +85,6 @@ Result<VerticalSolution> SolveFmdvVOnProfile(const ColumnProfile& profile,
     out.min_segment_coverage = std::min(out.min_segment_coverage, b.coverage);
   }
   return out;
-}
-
-Result<VerticalSolution> SolveFmdvV(ColumnView values,
-                                    const PatternIndex& index,
-                                    const AutoValidateOptions& opts) {
-  if (values.empty()) {
-    return Status::InvalidArgument("empty query column");
-  }
-  // Vertical cuts can segment columns wider than tau, so allow them here.
-  GeneralizeConfig wide = opts.gen;
-  wide.max_tokens = static_cast<size_t>(-1);
-  const ColumnProfile profile = ColumnProfile::Build(values, wide);
-  if (profile.shapes().empty()) {
-    return Status::Infeasible("no tokenizable values in query column");
-  }
-  AV_RETURN_NOT_OK(CheckDistinctCap(profile, wide));
-  if (profile.shapes().size() > 1 ||
-      profile.shapes().front().weight != profile.total_weight()) {
-    return Status::Infeasible(
-        "query column is not homogeneous (H(C) is empty); "
-        "use a horizontal-cut variant");
-  }
-  return SolveFmdvVOnProfile(profile, profile.shapes().front(), index, opts);
 }
 
 }  // namespace av

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/column_view.h"
 #include "common/status.h"
 #include "core/options.h"
 #include "index/pattern_index.h"
@@ -33,17 +32,12 @@ struct VerticalSolution {
   size_t hypotheses_enumerated = 0;
 };
 
-/// Solves FMDV-V for homogeneous `values` (single shape group; returns
-/// kInfeasible otherwise, like basic FMDV).
-Result<VerticalSolution> SolveFmdvV(ColumnView values,
+/// Solves FMDV-V over `group`, a shape group of `profile` that
+/// SelectConforming (core/horizontal.h) chose and checked; the profile is
+/// built with tau unbounded, since segments, not the group, obey tau.
+Result<VerticalSolution> SolveFmdvV(const ColumnProfile& profile,
+                                    const ShapeGroup& group,
                                     const PatternIndex& index,
                                     const AutoValidateOptions& opts);
-
-/// Same, over an already-built profile and one of its shape groups:
-/// SolveFmdvV's body once it has checked the column is homogeneous.
-Result<VerticalSolution> SolveFmdvVOnProfile(const ColumnProfile& profile,
-                                             const ShapeGroup& group,
-                                             const PatternIndex& index,
-                                             const AutoValidateOptions& opts);
 
 }  // namespace av

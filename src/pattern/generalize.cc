@@ -51,10 +51,6 @@ ColumnProfile ColumnProfile::Build(ColumnView values,
   return p;
 }
 
-size_t ColumnProfile::dominant_shape() const {
-  return shapes_.empty() ? static_cast<size_t>(-1) : 0;
-}
-
 namespace {
 
 /// Specificity rank used to order options most-general-first so that caps
@@ -449,14 +445,6 @@ std::vector<GeneratedPattern> GeneratePatterns(ColumnView values,
               return a.pattern.ToString() < b.pattern.ToString();
             });
   return out;
-}
-
-size_t ShapeOptions::NumHypothesisOptionsAt(size_t pos) const {
-  size_t count = 0;
-  for (const Option& o : options_[pos]) {
-    if (o.weight == group_weight_) ++count;
-  }
-  return count;
 }
 
 }  // namespace av

@@ -53,9 +53,10 @@ struct GeneralizeConfig {
   size_t max_patterns_per_column = 20000;
   /// Budget for online hypothesis enumeration.
   size_t max_hypotheses = 50000;
-  /// Distinct values tracked per column. Must be at least the number of
-  /// values scanned per column, or homogeneity checks treat the overflow as
-  /// non-conforming; the default covers the 1000-value column cap.
+  /// Offline, the distinct values profiled per column (the default covers
+  /// the 1000-value column cap). Online, the most distinct values a rule is
+  /// trained on: a training profiles every value, and SelectConforming
+  /// rejects a chosen shape group with more distinct values than this.
   size_t max_distinct_values = 1024;
 };
 
@@ -96,9 +97,6 @@ class ColumnProfile {
 
   /// Total rows scanned, including rows of values beyond the distinct cap.
   uint64_t total_weight() const { return column_.total_rows(); }
-
-  /// Index of the heaviest shape group, or SIZE_MAX if there are none.
-  size_t dominant_shape() const;
 
  private:
   TokenizedColumn column_;
@@ -209,9 +207,6 @@ class ShapeOptions {
   void EnumerateHypothesesRange(
       size_t begin, size_t end, size_t max_patterns,
       const std::function<void(Pattern&&)>& cb) const;
-
-  /// Number of hypothesis options at one position (diagnostics/tests).
-  size_t NumHypothesisOptionsAt(size_t pos) const;
 
  private:
   struct Option {

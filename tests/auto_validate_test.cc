@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <span>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "lakegen/domains.h"
+#include "lakegen/lakegen.h"
 #include "pattern/matcher.h"
 #include "tests/test_util.h"
 
@@ -194,6 +198,93 @@ TEST_F(AutoValidateTest, InfeasibleTrainingNamesTheDistinctCap) {
   EXPECT_EQ(st.code(), StatusCode::kInfeasible);
   EXPECT_NE(st.message().find("empty values"), std::string::npos)
       << st.ToString();
+}
+
+TEST_F(AutoValidateTest, HorizontalCutDoesNotDependOnRowOrder) {
+  // A full distinct cap of dddd-dd values and 10,000 rows of 100 IPv4
+  // addresses: the addresses are the heaviest shape whichever rows come
+  // first, so both orders cut the 1,024 dates and train the same rule.
+  std::vector<std::string> dates;
+  for (int i = 0; i < 1024; ++i) {
+    char value[16];
+    std::snprintf(value, sizeof(value), "%04d-%02d", i, i % 100);
+    dates.push_back(value);
+  }
+  ASSERT_EQ(dates.size(), engine_->options().gen.max_distinct_values);
+  const auto addresses = DomainColumn("ipv4", 100, 11);
+  std::vector<std::string> rows;
+  for (int i = 0; i < 100; ++i) {
+    rows.insert(rows.end(), addresses.begin(), addresses.end());
+  }
+  std::vector<std::string> dates_first = dates;
+  dates_first.insert(dates_first.end(), rows.begin(), rows.end());
+  std::vector<std::string> addresses_first = rows;
+  addresses_first.insert(addresses_first.end(), dates.begin(), dates.end());
+
+  for (const Method m : {Method::kFmdvH, Method::kFmdvVH}) {
+    auto a = engine_->Train(dates_first, m);
+    auto b = engine_->Train(addresses_first, m);
+    ASSERT_TRUE(a.ok()) << MethodName(m) << ": " << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << MethodName(m) << ": " << b.status().ToString();
+    EXPECT_EQ(a->pattern.ToString(), "<digit>+.<digit>+.<digit>+.<digit>+")
+        << MethodName(m);
+    EXPECT_EQ(a->train_nonconforming, 1024u) << MethodName(m);
+    EXPECT_EQ(a->Serialize(), b->Serialize()) << MethodName(m);
+  }
+}
+
+// Golden of every training outcome on a fixed lake: each column's training
+// prefix (a tenth of it, at least two rows, as the benchmark's TRAIN pass
+// takes it) and the whole column, under the four methods, CMDV and AutoTag,
+// at two coverage floors and two thetas. The hash covers each outcome's
+// status code and its serialized rule (AutoTag: its pattern text), so a
+// change to the trainers that moves any verdict or any rule fails here. If
+// a change is MEANT to alter trained rules, re-record the constants and say
+// so in the PR.
+TEST(TrainedRuleGoldenTest, EveryOutcomeMatchesGolden) {
+  const Corpus corpus = GenerateLake(EnterpriseLakeConfig(60, 7));
+  const PatternIndex index = BuildIndex(corpus, IndexerConfig{});
+  std::string outcomes;
+  size_t count = 0;
+  size_t trained = 0;
+  const auto record = [&](const Status& status, const auto& text_of) {
+    ++count;
+    outcomes += std::to_string(static_cast<int>(status.code()));
+    outcomes += '|';
+    if (status.ok()) {
+      outcomes += text_of();
+      ++trained;
+    }
+    outcomes += '\n';
+  };
+  for (const uint64_t min_coverage : {5, 20}) {
+    for (const double theta : {0.1, 0.5}) {
+      AutoValidateOptions opts;
+      opts.min_coverage = min_coverage;
+      opts.theta = theta;
+      const AutoValidate engine(&index, opts);
+      for (const Column* column : corpus.AllColumns()) {
+        const size_t n = column->values.size();
+        const size_t k = std::min(n, std::max<size_t>(2, (n + 9) / 10));
+        const std::span<const std::string> prefix(column->values.data(), k);
+        for (const ColumnView values :
+             {ColumnView(prefix), ColumnView(column->values)}) {
+          for (const Method m : {Method::kFmdv, Method::kFmdvV,
+                                 Method::kFmdvH, Method::kFmdvVH}) {
+            const auto rule = engine.Train(values, m);
+            record(rule.status(), [&] { return rule->Serialize(); });
+          }
+          const auto cmdv = engine.TrainCmdv(values);
+          record(cmdv.status(), [&] { return cmdv->Serialize(); });
+          const auto tag = engine.AutoTag(values);
+          record(tag.status(), [&] { return tag->ToString(); });
+        }
+      }
+    }
+  }
+  EXPECT_EQ(count, 3024u);
+  EXPECT_EQ(trained, 432u);
+  EXPECT_EQ(PolyHash64(outcomes), 0xd896aecce8d7d9d3ULL);
 }
 
 }  // namespace

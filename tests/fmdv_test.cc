@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/horizontal.h"
 #include "index/indexer.h"
 #include "lakegen/domains.h"
 #include "pattern/matcher.h"
@@ -56,6 +57,18 @@ std::vector<std::string> NarrowMarchColumn() {
   return values;
 }
 
+/// Basic FMDV the way AutoValidate::Train runs it: one training profile,
+/// SelectConforming's checks without a cut, then the solver on its group.
+Result<FmdvSolution> Solve(ColumnView values, const PatternIndex& index,
+                           const AutoValidateOptions& opts,
+                           FmdvObjective objective = FmdvObjective::kMinFpr) {
+  const ColumnProfile profile =
+      TrainingProfile(values, opts.gen, /*vertical=*/false);
+  auto split = SelectConforming(profile, /*cut=*/false, opts);
+  if (!split.ok()) return split.status();
+  return SolveFmdv(profile, *split->group, index, opts, objective);
+}
+
 class FmdvTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -85,7 +98,7 @@ TEST_F(FmdvTest, GeneralizesNarrowDateColumn) {
   AutoValidateOptions opts;
   opts.fpr_target = 0.1;
   opts.min_coverage = 20;
-  auto sol = SolveFmdv(NarrowMarchColumn(), *index_, opts);
+  auto sol = Solve(NarrowMarchColumn(), *index_, opts);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_EQ(sol->pattern.ToString(), "<letter>{3} <digit>{2} <digit>{4}");
   EXPECT_LE(sol->fpr, 0.1);
@@ -116,7 +129,7 @@ TEST_F(FmdvTest, EnumColumnGetsLetterPattern) {
   opts.min_coverage = 10;
   const std::vector<std::string> values = {"Delivered", "Clicked", "Expired",
                                            "Delivered", "Clicked"};
-  auto sol = SolveFmdv(values, *index_, opts);
+  auto sol = Solve(values, *index_, opts);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_EQ(sol->pattern.ToString(), "<letter>+");
 }
@@ -125,7 +138,7 @@ TEST_F(FmdvTest, InfeasibleWhenFprTargetIsZeroAndNoCleanPattern) {
   AutoValidateOptions opts;
   opts.fpr_target = 0.0;
   opts.min_coverage = 1000000;  // impossible coverage
-  auto sol = SolveFmdv(NarrowMarchColumn(), *index_, opts);
+  auto sol = Solve(NarrowMarchColumn(), *index_, opts);
   EXPECT_FALSE(sol.ok());
   EXPECT_EQ(sol.status().code(), StatusCode::kInfeasible);
 }
@@ -133,14 +146,14 @@ TEST_F(FmdvTest, InfeasibleWhenFprTargetIsZeroAndNoCleanPattern) {
 TEST_F(FmdvTest, HeterogeneousColumnInfeasible) {
   AutoValidateOptions opts;
   const std::vector<std::string> values = {"Mar 01 2019", "2019-03-01"};
-  auto sol = SolveFmdv(values, *index_, opts);
+  auto sol = Solve(values, *index_, opts);
   EXPECT_FALSE(sol.ok());
   EXPECT_EQ(sol.status().code(), StatusCode::kInfeasible);
 }
 
 TEST_F(FmdvTest, EmptyColumnIsInvalidArgument) {
   AutoValidateOptions opts;
-  auto sol = SolveFmdv({}, *index_, opts);
+  auto sol = Solve({}, *index_, opts);
   EXPECT_FALSE(sol.ok());
   EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument);
 }
@@ -149,10 +162,10 @@ TEST_F(FmdvTest, CmdvPrefersMostRestrictive) {
   AutoValidateOptions opts;
   opts.fpr_target = 0.1;
   opts.min_coverage = 10;
-  auto fmdv = SolveFmdv(NarrowMarchColumn(), *index_, opts,
-                        FmdvObjective::kMinFpr);
-  auto cmdv = SolveFmdv(NarrowMarchColumn(), *index_, opts,
-                        FmdvObjective::kMinCoverage);
+  auto fmdv =
+      Solve(NarrowMarchColumn(), *index_, opts, FmdvObjective::kMinFpr);
+  auto cmdv =
+      Solve(NarrowMarchColumn(), *index_, opts, FmdvObjective::kMinCoverage);
   ASSERT_TRUE(fmdv.ok());
   ASSERT_TRUE(cmdv.ok());
   EXPECT_LE(cmdv->coverage, fmdv->coverage);
@@ -169,8 +182,8 @@ TEST_F(FmdvTest, FprMonotoneInR) {
   AutoValidateOptions lax;
   lax.fpr_target = 0.5;
   lax.min_coverage = 20;
-  auto s = SolveFmdv(values, *index_, strict);
-  auto l = SolveFmdv(values, *index_, lax);
+  auto s = Solve(values, *index_, strict);
+  auto l = Solve(values, *index_, lax);
   ASSERT_TRUE(l.ok());
   if (s.ok()) {
     EXPECT_LE(s->fpr, l->fpr + 1e-12);

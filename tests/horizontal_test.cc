@@ -16,52 +16,71 @@ std::vector<std::string> DirtyColumn(size_t clean, size_t dirty) {
   return values;
 }
 
+/// The horizontal cut of `values` the way FMDV-H takes it: one training
+/// profile, then the heaviest group within theta.
+struct Cut {
+  ColumnProfile profile;
+  Result<ConformingSplit> split;
+
+  Cut(ColumnView values, const AutoValidateOptions& opts)
+      : profile(TrainingProfile(values, opts.gen, /*vertical=*/false)),
+        split(SelectConforming(profile, /*cut=*/true, opts)) {}
+
+  /// The distinct conforming values, in first-seen order.
+  std::vector<std::string_view> Conforming() const {
+    std::vector<std::string_view> out;
+    for (const uint32_t id : split->group->value_ids) {
+      out.push_back(profile.value(id));
+    }
+    return out;
+  }
+};
+
 TEST(SelectConformingTest, CutsNonConformingWithinTheta) {
   AutoValidateOptions opts;
   opts.theta = 0.1;
   const auto values = DirtyColumn(99, 1);
-  auto split = SelectConforming(values, opts);
-  ASSERT_TRUE(split.ok()) << split.status().ToString();
-  EXPECT_EQ(split->conforming.size(), 99u);
-  EXPECT_EQ(split->nonconforming, 1u);
-  EXPECT_NEAR(split->theta_train, 0.01, 1e-12);
+  const Cut cut(values, opts);
+  ASSERT_TRUE(cut.split.ok()) << cut.split.status().ToString();
+  EXPECT_EQ(cut.split->group->weight, 99u);
+  EXPECT_EQ(cut.split->nonconforming, 1u);
 }
 
 TEST(SelectConformingTest, RejectsWhenBeyondTheta) {
   AutoValidateOptions opts;
   opts.theta = 0.05;
   const auto values = DirtyColumn(90, 10);
-  auto split = SelectConforming(values, opts);
-  EXPECT_FALSE(split.ok());
-  EXPECT_EQ(split.status().code(), StatusCode::kInfeasible);
+  const Cut cut(values, opts);
+  EXPECT_FALSE(cut.split.ok());
+  EXPECT_EQ(cut.split.status().code(), StatusCode::kInfeasible);
 }
 
 TEST(SelectConformingTest, CleanColumnPassesThrough) {
   AutoValidateOptions opts;
   const auto values = DirtyColumn(50, 0);
-  auto split = SelectConforming(values, opts);
-  ASSERT_TRUE(split.ok());
-  EXPECT_EQ(split->conforming.size(), 50u);
-  EXPECT_DOUBLE_EQ(split->theta_train, 0.0);
+  const Cut cut(values, opts);
+  ASSERT_TRUE(cut.split.ok());
+  EXPECT_EQ(cut.split->group->weight, 50u);
+  EXPECT_EQ(cut.split->nonconforming, 0u);
 }
 
 TEST(SelectConformingTest, EmptyStringsCountAsNonConforming) {
   AutoValidateOptions opts;
   opts.theta = 0.5;
   std::vector<std::string> values = {"123", "456", ""};
-  auto split = SelectConforming(values, opts);
-  ASSERT_TRUE(split.ok());
-  EXPECT_EQ(split->conforming.size(), 2u);
-  EXPECT_EQ(split->nonconforming, 1u);
+  const Cut cut(values, opts);
+  ASSERT_TRUE(cut.split.ok());
+  EXPECT_EQ(cut.split->group->weight, 2u);
+  EXPECT_EQ(cut.split->nonconforming, 1u);
 }
 
 TEST(SelectConformingTest, PicksHeaviestShapeNotFirstShape) {
   AutoValidateOptions opts;
   opts.theta = 0.5;
   std::vector<std::string> values = {"a-b", "1:2", "3:4", "5:6"};
-  auto split = SelectConforming(values, opts);
-  ASSERT_TRUE(split.ok());
-  EXPECT_EQ(split->conforming,
+  const Cut cut(values, opts);
+  ASSERT_TRUE(cut.split.ok());
+  EXPECT_EQ(cut.Conforming(),
             (std::vector<std::string_view>{"1:2", "3:4", "5:6"}));
 }
 
@@ -70,29 +89,30 @@ TEST(SelectConformingTest, MixedChunkClassesShareOneShape) {
   AutoValidateOptions opts;
   opts.theta = 0.0;  // zero tolerance: everything must be one shape
   std::vector<std::string> values = {"ab12-34", "1234-99", "cdef-01"};
-  auto split = SelectConforming(values, opts);
-  ASSERT_TRUE(split.ok()) << split.status().ToString();
-  EXPECT_EQ(split->conforming.size(), 3u);
+  const Cut cut(values, opts);
+  ASSERT_TRUE(cut.split.ok()) << cut.split.status().ToString();
+  EXPECT_EQ(cut.split->group->weight, 3u);
 }
 
 TEST(SelectConformingTest, ThetaZeroRejectsAnyDirt) {
   AutoValidateOptions opts;
   opts.theta = 0.0;
-  auto split = SelectConforming(DirtyColumn(99, 1), opts);
-  EXPECT_FALSE(split.ok());
+  const auto values = DirtyColumn(99, 1);
+  const Cut cut(values, opts);
+  EXPECT_FALSE(cut.split.ok());
 }
 
 TEST(SelectConformingTest, EmptyColumnIsInvalid) {
   AutoValidateOptions opts;
-  auto split = SelectConforming({}, opts);
-  EXPECT_EQ(split.status().code(), StatusCode::kInvalidArgument);
+  const Cut cut({}, opts);
+  EXPECT_EQ(cut.split.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(SelectConformingTest, AllEmptyValuesInfeasible) {
   AutoValidateOptions opts;
   const std::vector<std::string> values = {"", "", ""};
-  auto split = SelectConforming(values, opts);
-  EXPECT_EQ(split.status().code(), StatusCode::kInfeasible);
+  const Cut cut(values, opts);
+  EXPECT_EQ(cut.split.status().code(), StatusCode::kInfeasible);
 }
 
 }  // namespace

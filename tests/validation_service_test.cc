@@ -396,6 +396,39 @@ TEST(ValidationServiceStoreTest, UpsertBatchSkipsAStaleRule) {
   EXPECT_EQ(service.Find("b")->train_size, 7u);
 }
 
+TEST(ValidationServiceStoreTest, UpsertBatchNeverLowersRetrains) {
+  // A TRAIN reads no meta and installs retrains 0; a background retrain
+  // that landed first has already raised the count to 2, and it stays.
+  ValidationService service(nullptr, AutoValidateOptions{}, 1);
+  const auto batch_of = [](ValidationService::RuleUpdate u) {
+    std::vector<ValidationService::RuleUpdate> batch;
+    batch.push_back(std::move(u));
+    return batch;
+  };
+  RuleMeta retrained;
+  retrained.trained_at_ms = 5;
+  retrained.ttl_ms = 10;
+  retrained.retrains = 2;
+  ASSERT_EQ(service.UpsertBatch(batch_of({"ids", DigitsRule(1, 0), retrained})),
+            std::vector<bool>{true});
+  RuleMeta trained;
+  trained.trained_at_ms = 7;
+  trained.ttl_ms = 20;
+  ASSERT_EQ(service.UpsertBatch(batch_of({"ids", DigitsRule(2, 0), trained})),
+            std::vector<bool>{true});
+  EXPECT_EQ(service.Find("ids")->train_size, 2u);
+  const auto meta = service.FindMeta("ids");
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_EQ(meta->trained_at_ms, 7u);
+  EXPECT_EQ(meta->ttl_ms, 20u);
+  EXPECT_EQ(meta->retrains, 2u);
+
+  // A higher count still raises it.
+  trained.retrains = 3;
+  service.UpsertBatch(batch_of({"ids", DigitsRule(3, 0), trained}));
+  EXPECT_EQ(service.FindMeta("ids")->retrains, 3u);
+}
+
 /// The store as a plain std::map: name -> (rule id, meta). A rule's id is
 /// its train_size, unique per rule the test stores.
 struct StoreModel {
@@ -492,8 +525,14 @@ TEST(ValidationServiceStoreTest, MatchesModelAcrossRandomWrites) {
                          it->second.id == u.if_current->train_size);
         want.push_back(ok);
         if (!ok) continue;
+        // An install never lowers the stored retrain count.
+        RuleMeta installed = u.meta;
+        if (it != model.rules.end() && it->second.meta.has_value()) {
+          installed.retrains =
+              std::max(installed.retrains, it->second.meta->retrains);
+        }
         std::optional<RuleMeta> meta;
-        if (u.meta != RuleMeta{}) meta = u.meta;
+        if (installed != RuleMeta{}) meta = installed;
         model.rules[u.name] = {u.rule.train_size, meta};
       }
       if (std::find(want.begin(), want.end(), true) != want.end()) {

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "core/fmdv.h"
+#include "core/horizontal.h"
 #include "index/indexer.h"
 #include "lakegen/domains.h"
 #include "pattern/matcher.h"
@@ -59,6 +59,17 @@ std::vector<std::string> WideCompositeColumn(size_t n = 50) {
   return values;
 }
 
+/// FMDV-V the way AutoValidate::Train runs it: one training profile with
+/// tau unbounded, SelectConforming's checks without a cut, then the solver.
+Result<VerticalSolution> SolveV(ColumnView values, const PatternIndex& index,
+                                const AutoValidateOptions& opts) {
+  const ColumnProfile profile =
+      TrainingProfile(values, opts.gen, /*vertical=*/true);
+  auto split = SelectConforming(profile, /*cut=*/false, opts);
+  if (!split.ok()) return split.status();
+  return SolveFmdvV(profile, *split->group, index, opts);
+}
+
 class VerticalTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -79,11 +90,16 @@ Corpus* VerticalTest::corpus_ = nullptr;
 PatternIndex* VerticalTest::index_ = nullptr;
 
 TEST_F(VerticalTest, BasicFmdvFailsOnWideColumn) {
+  // Without vertical cuts the column is profiled with tau, and its one
+  // shape group is too wide to solve.
   AutoValidateOptions opts;
   opts.min_coverage = 10;
-  auto sol = SolveFmdv(WideCompositeColumn(), *index_, opts);
-  EXPECT_FALSE(sol.ok());
-  EXPECT_EQ(sol.status().code(), StatusCode::kInfeasible);
+  const auto values = WideCompositeColumn();
+  const ColumnProfile profile =
+      TrainingProfile(values, opts.gen, /*vertical=*/false);
+  const auto split = SelectConforming(profile, /*cut=*/false, opts);
+  EXPECT_FALSE(split.ok());
+  EXPECT_EQ(split.status().code(), StatusCode::kInfeasible);
 }
 
 TEST_F(VerticalTest, VerticalCutsValidateWideColumn) {
@@ -91,7 +107,7 @@ TEST_F(VerticalTest, VerticalCutsValidateWideColumn) {
   opts.min_coverage = 10;
   opts.fpr_target = 0.1;
   const auto values = WideCompositeColumn();
-  auto sol = SolveFmdvV(values, *index_, opts);
+  auto sol = SolveV(values, *index_, opts);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_GE(sol->segment_patterns.size(), 4u)
       << "expected several vertical segments, got pattern "
@@ -116,7 +132,7 @@ TEST_F(VerticalTest, VerticalCutsValidateWideColumn) {
 TEST_F(VerticalTest, SegmentRangesPartitionTheColumn) {
   AutoValidateOptions opts;
   opts.min_coverage = 10;
-  auto sol = SolveFmdvV(WideCompositeColumn(), *index_, opts);
+  auto sol = SolveV(WideCompositeColumn(), *index_, opts);
   ASSERT_TRUE(sol.ok());
   size_t expected_begin = 0;
   for (const auto& [begin, end] : sol->segment_ranges) {
@@ -133,8 +149,8 @@ TEST_F(VerticalTest, SumObjectiveIsAtLeastMaxObjective) {
   sum_opts.min_coverage = 10;
   AutoValidateOptions max_opts = sum_opts;
   max_opts.vertical_use_max = true;
-  auto sum_sol = SolveFmdvV(values, *index_, sum_opts);
-  auto max_sol = SolveFmdvV(values, *index_, max_opts);
+  auto sum_sol = SolveV(values, *index_, sum_opts);
+  auto max_sol = SolveV(values, *index_, max_opts);
   ASSERT_TRUE(sum_sol.ok());
   ASSERT_TRUE(max_sol.ok());
   EXPECT_GE(sum_sol->fpr_total, max_sol->fpr_total - 1e-12);
@@ -148,7 +164,7 @@ TEST_F(VerticalTest, NarrowColumnWorksAsSingleSegment) {
   RowGen gen = DomainByName("kv_id").make_column(rng);
   std::vector<std::string> values;
   for (int i = 0; i < 40; ++i) values.push_back(gen(rng));
-  auto sol = SolveFmdvV(values, *index_, opts);
+  auto sol = SolveV(values, *index_, opts);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_EQ(sol->pattern.ToString(), "id=<digit>{6};");
 }
@@ -156,7 +172,7 @@ TEST_F(VerticalTest, NarrowColumnWorksAsSingleSegment) {
 TEST_F(VerticalTest, HeterogeneousValuesRejected) {
   AutoValidateOptions opts;
   const std::vector<std::string> mixed = {"id=123456;", "totally different"};
-  auto sol = SolveFmdvV(mixed, *index_, opts);
+  auto sol = SolveV(mixed, *index_, opts);
   EXPECT_FALSE(sol.ok());
 }
 
